@@ -27,7 +27,6 @@ package baseline
 import (
 	"sort"
 
-	"cxfs/internal/node"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
@@ -82,29 +81,6 @@ func (g *dupGuard) finish(op types.OpID, reply wire.Msg) {
 // abandon clears the inflight mark without caching (crash mid-execution);
 // a retry after recovery re-executes. Safe to call after finish.
 func (g *dupGuard) abandon(op types.OpID) { delete(g.inflight, op) }
-
-// reset drops all volatile guard state (server reboot).
-func (g *dupGuard) reset() {
-	g.inflight = make(map[types.OpID]bool)
-	g.replies = make(map[types.OpID]wire.Msg)
-	g.order = nil
-}
-
-// rpcCall sends req and waits for a reply on route, retransmitting per the
-// retry policy; false means the attempt budget ran out (outcome unknown).
-func rpcCall(p *simrt.Proc, host *node.Host, rp types.RetryPolicy, route *simrt.Chan[wire.Msg], req wire.Msg) (wire.Msg, bool) {
-	if !rp.Enabled() {
-		host.Send(req)
-		return route.Recv(p), true
-	}
-	for attempt := 0; attempt < rp.MaxAttempts(); attempt++ {
-		host.Send(req)
-		if m, ok := route.RecvTimeout(p, rp.WaitFor(attempt)); ok {
-			return m, true
-		}
-	}
-	return wire.Msg{}, false
-}
 
 // lockTable serializes conflicting operations inside the 2PC and CE
 // servers (their correctness depends on exclusive access for the duration

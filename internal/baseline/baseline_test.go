@@ -94,21 +94,6 @@ func TestLockTableReleaseWakesOne(t *testing.T) {
 	}
 }
 
-func TestErrStringMapping(t *testing.T) {
-	for _, known := range []error{types.ErrExists, types.ErrNotFound, types.ErrNotEmpty} {
-		err := errString("insert x: " + known.Error())
-		if err == nil {
-			t.Fatalf("nil for %v", known)
-		}
-	}
-	if errString("") == nil {
-		t.Error("empty message should map to an error")
-	}
-	if errString("weird failure") == nil {
-		t.Error("unknown message should map to an error")
-	}
-}
-
 func TestObjKeyLessTotalOrder(t *testing.T) {
 	keys := []types.ObjKey{
 		types.InodeKey(5), types.InodeKey(2),

@@ -284,10 +284,8 @@ func rowLockKeys(rows []string) []types.ObjKey {
 
 // CEDriver is the CE client: like 2PC, one round trip to the coordinator.
 type CEDriver struct {
-	host  *node.Host
-	pl    namespace.Placement
-	retry types.RetryPolicy
-	observed
+	host *node.Host
+	pl   namespace.Placement
 }
 
 // NewCEDriver builds a CE driver.
@@ -295,15 +293,10 @@ func NewCEDriver(host *node.Host, pl namespace.Placement) *CEDriver {
 	return &CEDriver{host: host, pl: pl}
 }
 
-// SetRetry installs the per-RPC timeout/retry policy (zero disables).
-func (d *CEDriver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
-
 // Do executes one metadata operation through the coordinator.
 func (d *CEDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	return d.record(d.host, op, func() (types.Inode, error) {
-		if !op.Kind.CrossServer() {
-			return singleServerOp(p, d.host, d.pl, d.retry, op)
-		}
-		return localOpCall(p, d.host, op, d.pl.CoordinatorFor(op.Parent, op.Name), d.retry)
-	})
+	start := d.host.BeginOp(op)
+	ino, err := coordinatorOp(p, d.host, d.pl, op)
+	d.host.EndOp(op, start, err, false)
+	return ino, err
 }

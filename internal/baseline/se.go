@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"cxfs/internal/core"
@@ -39,12 +38,9 @@ type SEServer struct {
 	// guard suppresses duplicate (retried) mutating requests.
 	guard *dupGuard
 
-	// Leased read path (optional; mirrors core's so the stat-storm
-	// experiment can compare cache on/off across protocols).
-	leases       *core.LeaseTable
-	leaseTTL     time.Duration
-	leaseGrants  uint64
-	leaseRevokes uint64
+	// leases serves the leased read path, the same one the Cx server uses,
+	// so the stat-storm experiment compares cache on/off across protocols.
+	leases *core.LeaseTable
 }
 
 type localFlush struct {
@@ -56,7 +52,8 @@ const seUndoCap = 4096
 
 // NewSEServer builds an SE server; batched selects OFS-batched behavior.
 // flushTimeout paces the batched flush daemon (ignored in sync mode).
-func NewSEServer(base *node.Base, pl namespace.Placement, batched bool, flushTimeout time.Duration) *SEServer {
+// leases is the server's lease table (see core.NewLeaseTable).
+func NewSEServer(base *node.Base, pl namespace.Placement, batched bool, flushTimeout time.Duration, leases *core.LeaseTable) *SEServer {
 	if flushTimeout <= 0 {
 		flushTimeout = 10 * time.Second
 	}
@@ -64,14 +61,9 @@ func NewSEServer(base *node.Base, pl namespace.Placement, batched bool, flushTim
 		Base: base, pl: pl, batched: batched, flushT: flushTimeout,
 		pendingUndo: make(map[types.OpID]*namespace.Undo),
 		guard:       newDupGuard(),
-		leases:      core.NewLeaseTable(4096),
+		leases:      leases,
 	}
 }
-
-// SetLeaseTTL enables the leased read path: lookup replies carry a lease of
-// this duration and mutations revoke. 0 (the default) answers lookups
-// without a lease.
-func (s *SEServer) SetLeaseTTL(ttl time.Duration) { s.leaseTTL = ttl }
 
 // Start launches the inbox loop plus the write-back daemon: the batched
 // flush daemon in OFS-batched mode, or the database checkpointer in plain
@@ -123,56 +115,10 @@ func (s *SEServer) handle(p *simrt.Proc, m wire.Msg) {
 	case wire.MsgClear:
 		s.handleClear(p, m)
 	case wire.MsgLookupReq:
-		s.handleLookup(p, m)
-	}
-}
-
-// handleLookup serves the leased read path. SE executes serially and
-// persists before replying, so resolving straight from the shard is safe;
-// there is no active-object table to park behind.
-func (s *SEServer) handleLookup(p *simrt.Proc, m wire.Msg) {
-	s.ExecCPU(p)
-	if s.Crashed() {
-		return
-	}
-	in, found := s.Shard.ResolveEntry(m.Dir, m.Path)
-	reply := wire.Msg{Type: wire.MsgLookupResp, To: m.From, Op: m.Op,
-		OK: found, Dir: m.Dir, Path: m.Path, Attr: in}
-	if !found {
-		reply.Err = types.ErrNotFound.Error()
-	}
-	if s.leaseTTL > 0 {
-		reply.LeaseEpoch = s.Boot() + 1
-		reply.LeaseTTL = s.leaseTTL
-		s.leases.Grant(m.Dir, m.Path, m.From, s.Sim.Now(), s.leaseTTL)
-		s.leaseGrants++
-	}
-	s.Send(reply)
-}
-
-// revokeLeases notifies lease holders that (dir, name) is changing.
-func (s *SEServer) revokeLeases(dir types.InodeID, name string, op types.OpID) {
-	for _, h := range s.leases.Revoke(dir, name) {
-		s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: h, Op: op,
-			Dir: dir, Path: name, LeaseEpoch: s.Boot() + 1})
-		s.leaseRevokes++
-	}
-}
-
-// LeasesOutstanding reports unexpired leased entries on this server.
-func (s *SEServer) LeasesOutstanding() int { return s.leases.Outstanding(s.Sim.Now()) }
-
-// LeaseStats returns cumulative grant and revocation counts.
-func (s *SEServer) LeaseStats() (granted, revoked uint64) {
-	return s.leaseGrants, s.leaseRevokes
-}
-
-// maybeRevoke fires the lease revocation when an executed sub-op mutated a
-// directory entry.
-func (s *SEServer) maybeRevoke(sub types.SubOp) {
-	switch sub.Action {
-	case types.ActInsertEntry, types.ActRemoveEntry:
-		s.revokeLeases(sub.Parent, sub.Name, sub.Op)
+		// SE executes serially and persists before replying, so lookups
+		// resolve straight from the shard; there is no active-object table
+		// to park behind.
+		s.leases.Serve(p, m)
 	}
 }
 
@@ -209,7 +155,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m wire.Msg) {
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK && mutating {
-		s.maybeRevoke(sub)
+		s.leases.Revoke(sub)
 		s.persist(p, sub.Op, sub, res)
 		if s.CrashPoint("se:after-persist", sub.Op) {
 			return
@@ -293,7 +239,7 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 			s.Send(reply)
 			return
 		}
-		s.maybeRevoke(cSub)
+		s.leases.Revoke(cSub)
 		s.persist(p, op.ID, pSub, resP)
 		if s.Crashed() {
 			return
@@ -307,7 +253,7 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 			reply.Err = res.Err.Error()
 		}
 		if res.OK && sub.Action.Mutating() {
-			s.maybeRevoke(sub)
+			s.leases.Revoke(sub)
 			s.persist(p, op.ID, sub, res)
 		}
 	}
@@ -325,159 +271,83 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 type SEDriver struct {
 	host  *node.Host
 	pl    namespace.Placement
-	retry types.RetryPolicy
 	cache *core.Cache
-	observed
 }
 
-// NewSEDriver builds an SE driver bound to a client host.
-func NewSEDriver(host *node.Host, pl namespace.Placement) *SEDriver {
-	return &SEDriver{host: host, pl: pl}
-}
-
-// SetRetry installs the per-RPC timeout/retry policy (zero = block forever).
-func (d *SEDriver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
-
-// SetCache attaches a leased metadata cache (shared Cache implementation
-// from core) and installs the host's revocation hook.
-func (d *SEDriver) SetCache(c *core.Cache) {
-	d.cache = c
-	if c == nil {
-		return
-	}
-	d.host.SetNotify(func(m wire.Msg) bool {
-		if m.Type == wire.MsgConflictNotify && m.Path != "" {
-			c.Revoke(m.Dir, m.Path, m.From, m.LeaseEpoch)
-			return true
-		}
-		return false
-	})
-}
-
-// FlushCache drops every cached entry.
-func (d *SEDriver) FlushCache() {
-	if d.cache != nil {
-		d.cache.Flush()
-	}
-}
-
-// doLookup serves a lookup from the cache under lease, or round-trips a
-// LookupReq and installs the granted lease.
-func (d *SEDriver) doLookup(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	if attr, found, _, ok := d.cache.Get(d.host.Sim.Now(), op.Parent, op.Name); ok {
-		if !found {
-			return types.Inode{}, types.ErrNotFound
-		}
-		return attr, nil
-	}
-	route := d.host.Open(op.ID)
-	defer d.host.Done(op.ID)
-	issued := d.host.Sim.Now()
-	m, ok := rpcCall(p, d.host, d.retry, route, wire.Msg{Type: wire.MsgLookupReq,
-		To: d.pl.CoordinatorFor(op.Parent, op.Name), Op: op.ID,
-		Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
-	if !ok {
-		return types.Inode{}, types.ErrTimeout
-	}
-	d.cache.Put(issued, d.host.Sim.Now(), m)
-	if m.OK {
-		return m.Attr, nil
-	}
-	return types.Inode{}, errString(m.Err)
+// NewSEDriver builds an SE driver bound to a client host. cache, when
+// non-nil, is the leased metadata cache attached to the same host
+// (core.Cache.Attach); nil disables client caching.
+func NewSEDriver(host *node.Host, pl namespace.Placement, cache *core.Cache) *SEDriver {
+	return &SEDriver{host: host, pl: pl, cache: cache}
 }
 
 // Do executes one metadata operation serially.
 func (d *SEDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	return d.record(d.host, op, func() (types.Inode, error) { return d.do(p, op) })
+	start := d.host.BeginOp(op)
+	ino, err := d.do(p, op)
+	d.host.EndOp(op, start, err, false)
+	return ino, err
 }
 
 func (d *SEDriver) do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	if d.cache != nil {
 		if op.Kind == types.OpLookup {
-			return d.doLookup(p, op)
+			return d.cache.Lookup(p, op, d.pl.CoordinatorFor(op.Parent, op.Name))
 		}
-		if op.Kind.Mutating() {
-			d.cache.Invalidate(op.Parent, op.Name)
-			if op.Kind == types.OpRename {
-				d.cache.Invalidate(op.NewParent, op.NewName)
-			}
-		}
+		d.cache.InvalidateOp(op)
 	}
 	if !op.Kind.CrossServer() {
-		return singleServerOp(p, d.host, d.pl, d.retry, op)
+		return singleServerOp(p, d.host, d.pl, op)
 	}
 	coord := d.pl.CoordinatorFor(op.Parent, op.Name)
 	part := d.pl.ParticipantFor(op.Ino)
 	if coord == part {
-		return localOpCall(p, d.host, op, coord, d.retry)
+		return localOpCall(p, d.host, op, coord)
 	}
 	cSub, pSub := types.Split(op)
 	route := d.host.Open(op.ID)
 	defer d.host.Done(op.ID)
 
 	// Step 1: participant executes first.
-	m, ok := seCall(p, d.host, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
+	m, ok := d.host.Call(p, route, wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
 	if !ok {
 		return types.Inode{}, types.ErrTimeout
 	}
 	if !m.OK {
-		return types.Inode{}, errString(m.Err)
+		return types.Inode{}, node.ReplyError(m)
 	}
 	// Step 2: then the coordinator.
-	m, ok = seCall(p, d.host, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
+	m, ok = d.host.Call(p, route, wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
 	if !ok {
 		// The participant's half may be durable with no withdrawal possible:
 		// exactly SE's documented orphan window. Best-effort CLEAR.
-		seCall(p, d.host, d.retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
+		d.host.Call(p, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
 		return types.Inode{}, types.ErrTimeout
 	}
 	if m.OK {
 		return m.Attr, nil
 	}
 	// Compensate: CLEAR the participant's execution.
-	err := errString(m.Err)
-	seCall(p, d.host, d.retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
+	err := node.ReplyError(m)
+	d.host.Call(p, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
 	return types.Inode{}, err
-}
-
-// seCall sends req and awaits the reply from the addressed server,
-// retransmitting per the policy and discarding stray responses from the
-// operation's other leg (late duplicates under faults).
-func seCall(p *simrt.Proc, host *node.Host, rp types.RetryPolicy, route *simrt.Chan[wire.Msg], req wire.Msg) (wire.Msg, bool) {
-	if !rp.Enabled() {
-		host.Send(req)
-		for {
-			m := route.Recv(p)
-			if m.From == req.To {
-				return m, true
-			}
-		}
-	}
-	for attempt := 0; attempt < rp.MaxAttempts(); attempt++ {
-		host.Send(req)
-		deadline := p.Now() + rp.WaitFor(attempt)
-		for {
-			remaining := deadline - p.Now()
-			if remaining <= 0 {
-				break
-			}
-			m, ok := route.RecvTimeout(p, remaining)
-			if !ok {
-				break
-			}
-			if m.From == req.To {
-				return m, true
-			}
-		}
-	}
-	return wire.Msg{}, false
 }
 
 // Shared client helpers -----------------------------------------------------
 
+// coordinatorOp is the 2PC and CE client: a cross-server operation is one
+// request to its coordinator, which answers once the whole operation has
+// committed or aborted; anything else goes to its single owner.
+func coordinatorOp(p *simrt.Proc, host *node.Host, pl namespace.Placement, op types.Op) (types.Inode, error) {
+	if !op.Kind.CrossServer() {
+		return singleServerOp(p, host, pl, op)
+	}
+	return localOpCall(p, host, op, pl.CoordinatorFor(op.Parent, op.Name))
+}
+
 // singleServerOp routes a read or single-server update to its owner server
 // as an OpReq (SE, 2PC, and CE all use the plain local path for these).
-func singleServerOp(p *simrt.Proc, host *node.Host, pl namespace.Placement, rp types.RetryPolicy, op types.Op) (types.Inode, error) {
+func singleServerOp(p *simrt.Proc, host *node.Host, pl namespace.Placement, op types.Op) (types.Inode, error) {
 	var target types.NodeID
 	switch op.Kind {
 	case types.OpLookup:
@@ -485,70 +355,19 @@ func singleServerOp(p *simrt.Proc, host *node.Host, pl namespace.Placement, rp t
 	default:
 		target = pl.ParticipantFor(op.Ino)
 	}
-	return localOpCall(p, host, op, target, rp)
+	return localOpCall(p, host, op, target)
 }
 
-// localOpCall sends a whole op to one server and awaits the response,
-// retransmitting per the retry policy.
-func localOpCall(p *simrt.Proc, host *node.Host, op types.Op, server types.NodeID, rp types.RetryPolicy) (types.Inode, error) {
+// localOpCall sends a whole op to one server and awaits the response.
+func localOpCall(p *simrt.Proc, host *node.Host, op types.Op, server types.NodeID) (types.Inode, error) {
 	route := host.Open(op.ID)
 	defer host.Done(op.ID)
-	m, ok := rpcCall(p, host, rp, route, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
+	m, ok := host.Call(p, route, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
 	if !ok {
 		return types.Inode{}, types.ErrTimeout
 	}
 	if m.OK {
 		return m.Attr, nil
 	}
-	return types.Inode{}, errString(m.Err)
-}
-
-// Readdir fans the listing out to every server and unions the partitions;
-// shared by every protocol driver.
-func Readdir(p *simrt.Proc, host *node.Host, servers int, id types.OpID, dir types.InodeID) ([]namespace.DirEntry, error) {
-	route := host.Open(id)
-	defer host.Done(id)
-	op := types.Op{ID: id, Kind: types.OpReaddir, Parent: dir}
-	for srv := 0; srv < servers; srv++ {
-		host.Send(wire.Msg{Type: wire.MsgOpReq, To: types.NodeID(srv), Op: id, FullOp: op, ReplyProc: id.Proc})
-	}
-	var out []namespace.DirEntry
-	for got := 0; got < servers; got++ {
-		m := route.Recv(p)
-		if !m.OK {
-			return nil, errString(m.Err)
-		}
-		for _, r := range m.Rows {
-			if len(r.Val) == 8 {
-				out = append(out, namespace.DirEntry{Name: r.Key, Ino: decodeIno(r.Val)})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
-func decodeIno(v []byte) types.InodeID {
-	var x uint64
-	for i := 7; i >= 0; i-- {
-		x = x<<8 | uint64(v[i])
-	}
-	return types.InodeID(x)
-}
-
-// errString maps a response error back to the shared sentinel errors.
-func errString(msg string) error {
-	if msg == "" {
-		return types.ErrAborted
-	}
-	for _, known := range []error{
-		types.ErrExists, types.ErrNotFound, types.ErrNotEmpty,
-		types.ErrNotDir, types.ErrIsDir, types.ErrAborted,
-	} {
-		if msg == known.Error() || len(msg) > len(known.Error()) &&
-			msg[len(msg)-len(known.Error()):] == known.Error() {
-			return fmt.Errorf("%s: %w", msg, known)
-		}
-	}
-	return fmt.Errorf("%s", msg)
+	return types.Inode{}, node.ReplyError(m)
 }

@@ -283,10 +283,8 @@ func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
 // TwoPCDriver is the 2PC client: one request to the coordinator, one
 // response when the transaction has fully committed or aborted.
 type TwoPCDriver struct {
-	host  *node.Host
-	pl    namespace.Placement
-	retry types.RetryPolicy
-	observed
+	host *node.Host
+	pl   namespace.Placement
 }
 
 // NewTwoPCDriver builds a 2PC driver.
@@ -294,15 +292,10 @@ func NewTwoPCDriver(host *node.Host, pl namespace.Placement) *TwoPCDriver {
 	return &TwoPCDriver{host: host, pl: pl}
 }
 
-// SetRetry installs the per-RPC timeout/retry policy (zero disables).
-func (d *TwoPCDriver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
-
 // Do executes one metadata operation through the coordinator.
 func (d *TwoPCDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	return d.record(d.host, op, func() (types.Inode, error) {
-		if !op.Kind.CrossServer() {
-			return singleServerOp(p, d.host, d.pl, d.retry, op)
-		}
-		return localOpCall(p, d.host, op, d.pl.CoordinatorFor(op.Parent, op.Name), d.retry)
-	})
+	start := d.host.BeginOp(op)
+	ino, err := coordinatorOp(p, d.host, d.pl, op)
+	d.host.EndOp(op, start, err, false)
+	return ino, err
 }

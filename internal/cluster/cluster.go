@@ -120,11 +120,11 @@ type Cluster struct {
 	Placement namespace.Placement
 
 	Bases   []*node.Base
-	CxSrv   []*core.Server       // non-nil only under ProtoCx
-	SESrv   []*baseline.SEServer // non-nil only under ProtoSE / ProtoSEBatched
+	CxSrv   []*core.Server // non-nil only under ProtoCx
 	Hosts   []*node.Host
-	drivers []Driver      // one per host
-	caches  []*core.Cache // one per host when Opts.CacheTTL > 0
+	leases  []*core.LeaseTable // one per server under the protocols that serve lookups (Cx, SE)
+	drivers []Driver           // one per host
+	caches  []*core.Cache      // one per host when leases are granted (Opts.CacheTTL > 0)
 	procs   []*Process
 }
 
@@ -165,7 +165,6 @@ func New(opts Options) (*Cluster, error) {
 		opts.ProcsPerHost = 8
 	}
 	opts.Cx.Obs = opts.Obs
-	opts.Cx.LeaseTTL = opts.CacheTTL
 	opts.Obs.BeginRun(string(opts.Protocol))
 	sim := simrt.New(opts.Seed)
 	net := transport.New(sim, opts.Net)
@@ -193,19 +192,15 @@ func New(opts Options) (*Cluster, error) {
 		}
 		switch opts.Protocol {
 		case ProtoCx:
-			srv := core.NewServer(base, pl, opts.Cx)
+			leases := core.NewLeaseTable(base, opts.CacheTTL)
+			c.leases = append(c.leases, leases)
+			srv := core.NewServer(base, pl, opts.Cx, leases)
 			srv.Start()
 			c.CxSrv = append(c.CxSrv, srv)
-		case ProtoSE:
-			srv := baseline.NewSEServer(base, pl, false, opts.SEFlush)
-			srv.SetLeaseTTL(opts.CacheTTL)
-			srv.Start()
-			c.SESrv = append(c.SESrv, srv)
-		case ProtoSEBatched:
-			srv := baseline.NewSEServer(base, pl, true, opts.SEFlush)
-			srv.SetLeaseTTL(opts.CacheTTL)
-			srv.Start()
-			c.SESrv = append(c.SESrv, srv)
+		case ProtoSE, ProtoSEBatched:
+			leases := core.NewLeaseTable(base, opts.CacheTTL)
+			c.leases = append(c.leases, leases)
+			baseline.NewSEServer(base, pl, opts.Protocol == ProtoSEBatched, opts.SEFlush, leases).Start()
 		case Proto2PC:
 			baseline.NewTwoPCServer(base, pl).Start()
 		case ProtoCE:
@@ -221,42 +216,27 @@ func New(opts Options) (*Cluster, error) {
 	})
 
 	for i := 0; i < opts.ClientHosts; i++ {
-		host := node.NewHost(sim, net, c.hostID(i))
+		host := node.NewHost(sim, net, c.hostID(i), opts.Retry, opts.Obs, string(opts.Protocol))
 		c.Hosts = append(c.Hosts, host)
-		newCache := func() *core.Cache {
-			cc := core.NewCache(opts.CacheCap)
-			cc.SetObserver(opts.Obs)
-			c.caches = append(c.caches, cc)
-			return cc
+		var cache *core.Cache
+		if opts.CacheTTL > 0 && len(c.leases) > 0 { // 2PC and CE grant no leases
+			cache = core.NewCache(opts.CacheCap)
+			cache.SetObserver(opts.Obs)
+			cache.Attach(host)
+			c.caches = append(c.caches, cache)
 		}
+		var d Driver
 		switch opts.Protocol {
 		case ProtoCx:
-			d := core.NewDriver(host, pl)
-			d.SetObserver(opts.Obs, string(opts.Protocol))
-			d.SetRetry(opts.Retry)
-			if opts.CacheTTL > 0 {
-				d.SetCache(newCache())
-			}
-			c.drivers = append(c.drivers, d)
+			d = core.NewDriver(host, pl, cache)
 		case ProtoSE, ProtoSEBatched:
-			d := baseline.NewSEDriver(host, pl)
-			d.SetObserver(opts.Obs, string(opts.Protocol))
-			d.SetRetry(opts.Retry)
-			if opts.CacheTTL > 0 {
-				d.SetCache(newCache())
-			}
-			c.drivers = append(c.drivers, d)
+			d = baseline.NewSEDriver(host, pl, cache)
 		case Proto2PC:
-			d := baseline.NewTwoPCDriver(host, pl)
-			d.SetObserver(opts.Obs, string(opts.Protocol))
-			d.SetRetry(opts.Retry)
-			c.drivers = append(c.drivers, d)
+			d = baseline.NewTwoPCDriver(host, pl)
 		case ProtoCE:
-			d := baseline.NewCEDriver(host, pl)
-			d.SetObserver(opts.Obs, string(opts.Protocol))
-			d.SetRetry(opts.Retry)
-			c.drivers = append(c.drivers, d)
+			d = baseline.NewCEDriver(host, pl)
 		}
+		c.drivers = append(c.drivers, d)
 	}
 	for h := 0; h < opts.ClientHosts; h++ {
 		for i := 0; i < opts.ProcsPerHost; i++ {
@@ -417,7 +397,7 @@ func (pr *Process) Unlink(p *simrt.Proc, dir types.InodeID, name string, ino typ
 // Readdir lists directory dir by querying every server's partition.
 func (pr *Process) Readdir(p *simrt.Proc, dir types.InodeID) ([]namespace.DirEntry, error) {
 	host := pr.cluster.Hosts[int(pr.ID.Client)-pr.cluster.Opts.Servers]
-	return baseline.Readdir(p, host, pr.cluster.Opts.Servers, pr.NextID(), dir)
+	return host.Readdir(p, pr.cluster.Opts.Servers, pr.NextID(), dir)
 }
 
 // Rename moves (dir, name, ino) to (newDir, newName). Under Cx this runs
@@ -480,24 +460,16 @@ func (c *Cluster) CacheStats() core.CacheStats {
 // tracks (0 for protocols without leasing). The lease-aware nemesis targets
 // the server holding the most.
 func (c *Cluster) LeasesOutstanding(i int) int {
-	switch {
-	case i < len(c.CxSrv):
-		return c.CxSrv[i].LeasesOutstanding()
-	case i < len(c.SESrv):
-		return c.SESrv[i].LeasesOutstanding()
+	if i < len(c.leases) {
+		return c.leases[i].Outstanding(c.Sim.Now())
 	}
 	return 0
 }
 
 // LeaseStats sums lease-side counters (grants, revocations) across servers.
 func (c *Cluster) LeaseStats() (granted, revoked uint64) {
-	for _, srv := range c.CxSrv {
-		st := srv.Stats()
-		granted += st.LeasesGranted
-		revoked += st.LeaseRevocations
-	}
-	for _, srv := range c.SESrv {
-		g, r := srv.LeaseStats()
+	for _, t := range c.leases {
+		g, r := t.Stats()
 		granted += g
 		revoked += r
 	}

@@ -35,7 +35,7 @@ func withAdaptiveServer(t *testing.T, cfg Config, fn func(p *simrt.Proc, s *Serv
 	hw := node.DefaultHardware()
 	hw.LogMaxBytes = 4 * wal.EncodedSize(adaptiveRec(1))
 	base := node.NewBase(sim, net, 0, hw)
-	srv := NewServer(base, namespace.Placement{Servers: 1}, cfg)
+	srv := NewServer(base, namespace.Placement{Servers: 1}, cfg, NewLeaseTable(base, 0))
 	sim.Spawn("t", func(p *simrt.Proc) {
 		fn(p, srv)
 		sim.Stop()
@@ -115,7 +115,7 @@ func TestAdaptivePeriodUnlimitedLogStillStretches(t *testing.T) {
 	hw := node.DefaultHardware()
 	hw.LogMaxBytes = 0
 	b := node.NewBase(sim, net, 0, hw)
-	srv := NewServer(b, namespace.Placement{Servers: 1}, Config{Timeout: base, AdaptiveLazy: true})
+	srv := NewServer(b, namespace.Placement{Servers: 1}, Config{Timeout: base, AdaptiveLazy: true}, NewLeaseTable(b, 0))
 	sim.Spawn("t", func(p *simrt.Proc) {
 		for i := uint64(1); i <= 50; i++ {
 			srv.WAL.Append(p, adaptiveRec(i))

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
-	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
@@ -17,28 +14,20 @@ import (
 // cross-server operation to both servers concurrently (§III.B step 1),
 // collects YES/NO responses with conflict hints and execution epochs, and
 // launches an immediate commitment with L-COM when the responses disagree.
+// Requests, retries and per-op observation go through the host.
 type Driver struct {
 	host *node.Host
 	pl   namespace.Placement
 
-	obsv  *obs.Observer
-	proto string
-	retry types.RetryPolicy
-
-	// cache, when attached, serves lookups locally under lease (the leased
-	// read path). lastCached/lastGrant describe the most recent lookup —
-	// read by harnesses immediately after Do returns, which is safe because
-	// the cooperative scheduler cannot interleave another process between
-	// doLookup's return and the caller's next statement.
-	cache      *Cache
-	lastCached bool
-	lastGrant  time.Duration
-	lookupLog  map[types.OpID]lookupRec // per-op dispositions (TrackLookups)
+	// cache, when non-nil, serves lookups locally under lease (the leased
+	// read path).
+	cache *Cache
 
 	stats DriverStats
 }
 
-// DriverStats counts client-side protocol events.
+// DriverStats counts client-side protocol events. Retransmissions and
+// timeouts are counted by the host (node.HostStats).
 type DriverStats struct {
 	Ops           uint64
 	CrossServer   uint64
@@ -47,154 +36,44 @@ type DriverStats struct {
 	Disagreements uint64 // L-COM rounds
 	Failures      uint64
 	Supersedes    uint64 // responses replaced by a higher epoch
-	Retries       uint64 // request retransmissions after a reply timeout
-	Timeouts      uint64 // operations abandoned with ErrTimeout
 }
 
-// NewDriver builds a Cx driver bound to a client host.
-func NewDriver(host *node.Host, pl namespace.Placement) *Driver {
-	return &Driver{host: host, pl: pl}
+// NewDriver builds a Cx driver bound to a client host. cache, when
+// non-nil, must be attached to the same host (Cache.Attach); nil disables
+// client caching.
+func NewDriver(host *node.Host, pl namespace.Placement, cache *Cache) *Driver {
+	return &Driver{host: host, pl: pl, cache: cache}
 }
 
 // Stats returns a snapshot of driver counters.
 func (d *Driver) Stats() DriverStats { return d.stats }
 
-// SetObserver attaches the observability layer; client-observed latencies
-// are recorded under proto. Nil (the default) records nothing.
-func (d *Driver) SetObserver(o *obs.Observer, proto string) {
-	d.obsv, d.proto = o, proto
-}
-
-// SetRetry installs the per-RPC timeout/retry policy. The zero policy (the
-// default) blocks forever on a lost reply, which is only acceptable on a
-// fault-free network; under faults, a policy bounds every wait and the
-// server-side duplicate suppression keeps retransmissions at-most-once.
-func (d *Driver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
-
-// SetCache attaches the leased metadata cache and installs the host's
-// revocation hook: MsgConflictNotify with a Path is a lease revocation for
-// this client, consumed before the per-op reply routes (it must never leak
-// into an op's reply channel when its ID collides with an open route).
-func (d *Driver) SetCache(c *Cache) {
-	d.cache = c
-	if c == nil {
-		return
-	}
-	d.host.SetNotify(func(m wire.Msg) bool {
-		if m.Type == wire.MsgConflictNotify && m.Path != "" {
-			c.Revoke(m.Dir, m.Path, m.From, m.LeaseEpoch)
-			return true
-		}
-		return false
-	})
-}
-
 // Cache returns the attached cache (nil when caching is off).
 func (d *Driver) Cache() *Cache { return d.cache }
 
-// FlushCache drops every cached entry; verification reads then hit servers.
-func (d *Driver) FlushCache() {
-	if d.cache != nil {
-		d.cache.Flush()
-	}
-}
-
 // LastLookup reports whether this driver's most recent lookup was served
-// from the cache, and the lease grant timestamp backing it. Only meaningful
-// when read immediately after the Lookup returns (see the field comment).
-func (d *Driver) LastLookup() (cached bool, grant time.Duration) {
-	return d.lastCached, d.lastGrant
-}
+// from the cache, and the lease grant timestamp backing it (see
+// Cache.LastLookup).
+func (d *Driver) LastLookup() (cached bool, grant time.Duration) { return d.cache.LastLookup() }
 
-// lookupRec is one completed lookup's cache disposition, kept per-op for
-// pipelined harnesses (where LastLookup races between in-flight lookups).
-type lookupRec struct {
-	cached bool
-	grant  time.Duration
-}
+// TrackLookups starts recording each lookup's cache disposition per
+// operation (see Cache.TrackLookups).
+func (d *Driver) TrackLookups() { d.cache.TrackLookups() }
 
-// TrackLookups starts recording each completed lookup's cache disposition
-// keyed by operation ID, for harvesting with TakeLookup. Only harnesses that
-// drain every entry should enable it (the log grows until taken).
-func (d *Driver) TrackLookups() {
-	if d.lookupLog == nil {
-		d.lookupLog = make(map[types.OpID]lookupRec)
-	}
-}
-
-// TakeLookup pops the recorded cache disposition of lookup id. ok is false
-// when the lookup never resolved (timeout) or tracking is off.
+// TakeLookup pops the recorded cache disposition of lookup id (see
+// Cache.TakeLookup).
 func (d *Driver) TakeLookup(id types.OpID) (cached bool, grant time.Duration, ok bool) {
-	r, ok := d.lookupLog[id]
-	if ok {
-		delete(d.lookupLog, id)
-	}
-	return r.cached, r.grant, ok
-}
-
-// call sends req and waits for a reply on route, retransmitting per the
-// retry policy. The second return is false when the attempt budget is
-// exhausted: the operation's outcome is unknown.
-func (d *Driver) call(p *simrt.Proc, route *simrt.Chan[wire.Msg], req wire.Msg) (wire.Msg, bool) {
-	if !d.retry.Enabled() {
-		d.host.Send(req)
-		return route.Recv(p), true
-	}
-	for attempt := 0; attempt < d.retry.MaxAttempts(); attempt++ {
-		if attempt > 0 {
-			d.stats.Retries++
-		}
-		d.host.Send(req)
-		if m, ok := route.RecvTimeout(p, d.retry.WaitFor(attempt)); ok {
-			return m, true
-		}
-	}
-	d.stats.Timeouts++
-	return wire.Msg{}, false
-}
-
-// errFrom converts a response's error string back into a typed error.
-func errFrom(m wire.Msg) error {
-	if m.OK {
-		return nil
-	}
-	if m.Err == "" {
-		return types.ErrAborted
-	}
-	for _, known := range []error{
-		types.ErrExists, types.ErrNotFound, types.ErrNotEmpty,
-		types.ErrNotDir, types.ErrIsDir, types.ErrAborted, types.ErrInvalidated,
-	} {
-		if m.Err == known.Error() || len(m.Err) > len(known.Error()) &&
-			m.Err[len(m.Err)-len(known.Error()):] == known.Error() {
-			return fmt.Errorf("%s: %w", m.Err, known)
-		}
-	}
-	return errors.New(m.Err)
+	return d.cache.TakeLookup(id)
 }
 
 // Do executes one metadata operation and blocks until it is complete from
 // the process's perspective. The returned inode carries stat/lookup
 // payloads.
 func (d *Driver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	if d.obsv == nil {
-		return d.do(p, op, nil)
-	}
-	start := d.host.Sim.Now()
-	if d.obsv.TraceOn() {
-		d.obsv.Emit(start, int(d.host.ID), op.ID, obs.PhaseIssue, op.Kind.String())
-	}
+	start := d.host.BeginOp(op)
 	var conflicted bool
 	ino, err := d.do(p, op, &conflicted)
-	out := obs.OutcomeComplete
-	switch {
-	case err != nil:
-		out = obs.OutcomeAborted
-	case conflicted:
-		out = obs.OutcomeConflicted
-	}
-	d.obsv.RecordOp(op.Kind, d.proto, out, op.ID, int(d.host.ID),
-		start, d.host.Sim.Now()-start)
+	d.host.EndOp(op, start, err, conflicted)
 	return ino, err
 }
 
@@ -202,18 +81,16 @@ func (d *Driver) do(p *simrt.Proc, op types.Op, conflicted *bool) (types.Inode, 
 	d.stats.Ops++
 	if d.cache != nil {
 		if op.Kind == types.OpLookup {
-			return d.doLookup(p, op)
-		}
-		if op.Kind.Mutating() {
-			// Read-your-writes: drop this client's cached view of every
-			// entry the mutation names BEFORE dispatching it. Done
-			// unconditionally (even if the op later fails or times out) —
-			// over-invalidation only costs a miss.
-			d.cache.Invalidate(op.Parent, op.Name)
-			if op.Kind == types.OpRename {
-				d.cache.Invalidate(op.NewParent, op.NewName)
+			ino, err := d.cache.Lookup(p, op, d.pl.CoordinatorFor(op.Parent, op.Name))
+			if cached, _ := d.cache.LastLookup(); !cached {
+				d.stats.SingleServer++
+				if err != nil {
+					d.stats.Failures++
+				}
 			}
+			return ino, err
 		}
+		d.cache.InvalidateOp(op)
 	}
 	if op.Kind == types.OpRename {
 		// Rename runs as an eager transaction coordinated by the source
@@ -243,72 +120,28 @@ func (d *Driver) doSingle(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	default: // stat, setattr live with the inode
 		target = d.pl.ParticipantFor(op.Ino)
 	}
-	route := d.host.Open(op.ID)
-	defer d.host.Done(op.ID)
-	m, ok := d.call(p, route, wire.Msg{Type: wire.MsgSubOpReq, To: target, Op: op.ID,
+	return d.request(p, wire.Msg{Type: wire.MsgSubOpReq, To: target, Op: op.ID,
 		Sub: types.SingleSubOp(op), ReplyProc: op.ID.Proc})
-	if !ok {
-		d.stats.Failures++
-		return types.Inode{}, types.ErrTimeout
-	}
-	if !m.OK {
-		d.stats.Failures++
-	}
-	return m.Attr, errFrom(m)
-}
-
-// doLookup is the leased read path: serve (Parent, Name) from the cache
-// when a valid lease covers it, otherwise round-trip a MsgLookupReq to the
-// dentry's coordinator and install the granted lease.
-func (d *Driver) doLookup(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	now := d.host.Sim.Now()
-	if attr, found, grant, ok := d.cache.Get(now, op.Parent, op.Name); ok {
-		d.lastCached, d.lastGrant = true, grant
-		if d.lookupLog != nil {
-			d.lookupLog[op.ID] = lookupRec{cached: true, grant: grant}
-		}
-		if !found {
-			return types.Inode{}, types.ErrNotFound
-		}
-		return attr, nil
-	}
-	d.lastCached, d.lastGrant = false, 0
-	d.stats.SingleServer++
-	target := d.pl.CoordinatorFor(op.Parent, op.Name)
-	route := d.host.Open(op.ID)
-	defer d.host.Done(op.ID)
-	issued := d.host.Sim.Now()
-	m, ok := d.call(p, route, wire.Msg{Type: wire.MsgLookupReq, To: target, Op: op.ID,
-		Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
-	if !ok {
-		d.stats.Failures++
-		return types.Inode{}, types.ErrTimeout
-	}
-	d.cache.Put(issued, d.host.Sim.Now(), m)
-	d.lastGrant = issued
-	if d.lookupLog != nil {
-		d.lookupLog[op.ID] = lookupRec{cached: false, grant: issued}
-	}
-	if !m.OK {
-		d.stats.Failures++
-	}
-	return m.Attr, errFrom(m)
 }
 
 // doLocal routes a colocated cross-server operation as one local
 // transaction.
 func (d *Driver) doLocal(p *simrt.Proc, op types.Op, server types.NodeID) (types.Inode, error) {
-	route := d.host.Open(op.ID)
-	defer d.host.Done(op.ID)
-	m, ok := d.call(p, route, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
-	if !ok {
+	return d.request(p, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
+}
+
+// request sends req through the host and returns its reply's payload.
+func (d *Driver) request(p *simrt.Proc, req wire.Msg) (types.Inode, error) {
+	route := d.host.Open(req.Op)
+	defer d.host.Done(req.Op)
+	m, ok := d.host.Call(p, route, req)
+	if !ok || !m.OK {
 		d.stats.Failures++
+	}
+	if !ok {
 		return types.Inode{}, types.ErrTimeout
 	}
-	if !m.OK {
-		d.stats.Failures++
-	}
-	return m.Attr, errFrom(m)
+	return m.Attr, node.ReplyError(m)
 }
 
 // respState tracks the freshest response from one server.
@@ -342,46 +175,37 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 
 	var rc, rp respState
 	lcomSent := false
-	attempt := 0
+	silent := 0
 	for {
-		var m wire.Msg
-		if d.retry.Enabled() {
-			var got bool
-			m, got = route.RecvTimeout(p, d.retry.WaitFor(attempt))
-			if !got {
-				attempt++
-				if attempt >= d.retry.MaxAttempts() {
-					d.stats.Timeouts++
-					d.stats.Failures++
-					return types.Inode{}, types.ErrTimeout
-				}
-				d.stats.Retries++
-				// Retransmit whatever is still outstanding; servers answer
-				// duplicates from their pending state or reply cache.
-				if !rc.have || rc.voided {
-					sendCoord()
-				}
-				if !rp.have || rp.voided {
-					sendPart()
-				}
-				if lcomSent {
-					d.host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, ReplyProc: op.ID.Proc})
-				}
-				continue
-			}
-			attempt = 0 // any received message counts as progress
-		} else {
-			m = route.Recv(p)
+		m, resend, ok := d.host.Await(p, route, &silent)
+		if !ok {
+			d.stats.Failures++
+			return types.Inode{}, types.ErrTimeout
 		}
+		if resend {
+			// Retransmit whatever is still outstanding; servers answer
+			// duplicates from their pending state or reply cache.
+			if !rc.have || rc.voided {
+				sendCoord()
+			}
+			if !rp.have || rp.voided {
+				sendPart()
+			}
+			if lcomSent {
+				d.host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, ReplyProc: op.ID.Proc})
+			}
+			continue
+		}
+		silent = 0 // any received message counts as progress
 		switch m.Type {
 		case wire.MsgAllNo:
 			// 7b: every successful execution was aborted.
 			d.stats.Failures++
 			if rc.have && !rc.ok && rc.err != "" && rc.err != types.ErrInvalidated.Error() {
-				return types.Inode{}, errFrom(wire.Msg{Err: rc.err})
+				return types.Inode{}, node.ReplyError(wire.Msg{Err: rc.err})
 			}
 			if rp.have && !rp.ok && rp.err != "" && rp.err != types.ErrInvalidated.Error() {
-				return types.Inode{}, errFrom(wire.Msg{Err: rp.err})
+				return types.Inode{}, node.ReplyError(wire.Msg{Err: rp.err})
 			}
 			return types.Inode{}, types.ErrAborted
 		case wire.MsgSubOpResp:
@@ -392,7 +216,7 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 			d.absorb(st, m)
 			// Any invalidation notice or re-executed (epoch > 1) response
 			// means this operation went through conflict machinery.
-			if conflicted != nil && (st.voided || st.epoch > 1) {
+			if st.voided || st.epoch > 1 {
 				*conflicted = true
 			}
 		}
@@ -406,17 +230,15 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 			// Agreement on failure: complete, commitment happens lazily.
 			d.stats.Failures++
 			if rc.err != "" {
-				return types.Inode{}, errFrom(wire.Msg{Err: rc.err})
+				return types.Inode{}, node.ReplyError(wire.Msg{Err: rc.err})
 			}
-			return types.Inode{}, errFrom(wire.Msg{Err: rp.err})
+			return types.Inode{}, node.ReplyError(wire.Msg{Err: rp.err})
 		default:
 			// Disagreement: ask the coordinator for an immediate
 			// commitment; ALL-NO completes the operation (§III.B step 2b).
 			d.stats.Disagreements++
 			lcomSent = true
-			if conflicted != nil {
-				*conflicted = true
-			}
+			*conflicted = true
 			d.host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, ReplyProc: op.ID.Proc})
 		}
 	}

@@ -97,10 +97,6 @@ type Config struct {
 	// cost dominates small backlogs (5KB of valid records still takes 3s),
 	// which is what makes Table V sublinear.
 	RecoveryFreeze time.Duration
-	// LeaseTTL is the validity window stamped on read leases granted to
-	// client lookup requests. 0 disables the leased read path: LookupReq is
-	// still answered, but without a lease, so clients cannot cache.
-	LeaseTTL time.Duration
 	// Obs receives protocol-phase trace events and latency samples. Nil
 	// (the default) disables all recording at the cost of one pointer
 	// check per site — the hot path is unaffected.
@@ -133,8 +129,6 @@ type Stats struct {
 	AdaptiveShrinks   uint64 // lazy periods shortened by log pressure
 	AdaptiveStretches uint64 // lazy periods stretched by idleness
 	Lookups           uint64 // LookupReq served (leased read path)
-	LeasesGranted     uint64 // read leases stamped on lookup replies
-	LeaseRevocations  uint64 // revocation notices sent to lease holders
 }
 
 // coordOp is a pending cross-server operation on its coordinator.
@@ -264,8 +258,9 @@ type Server struct {
 	stats Stats
 }
 
-// NewServer builds a Cx server on the given chassis.
-func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
+// NewServer builds a Cx server on the given chassis; leases is the
+// server's lease table (see NewLeaseTable).
+func NewServer(base *node.Base, pl namespace.Placement, cfg Config, leases *LeaseTable) *Server {
 	if cfg.VoteWait <= 0 {
 		cfg.VoteWait = 2 * time.Second
 	}
@@ -293,7 +288,7 @@ func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
 		wantCommit:    make(map[types.OpID]wantEntry),
 		replyCache:    make(map[types.OpID]wire.Msg),
 		localInflight: make(map[types.OpID]bool),
-		leases:        NewLeaseTable(leaseTableCap),
+		leases:        leases,
 	}
 	return s
 }

@@ -247,10 +247,7 @@ func (s *Server) hold(sub types.SubOp) {
 	if key, ok := conflictKey(sub); ok {
 		s.active[key] = sub.Op
 	}
-	switch sub.Action {
-	case types.ActInsertEntry, types.ActRemoveEntry:
-		s.revokeLeases(sub.Parent, sub.Name, sub.Op)
-	}
+	s.leases.Revoke(sub)
 }
 
 // releaseKeys clears every active entry held by op.
@@ -459,10 +456,7 @@ func (s *Server) runLocalOp(p *simrt.Proc, m wire.Msg) {
 		}
 		// The colocated path never marks objects active (it commits in one
 		// batched append below), but the dentry mutation still voids leases.
-		switch cSub.Action {
-		case types.ActInsertEntry, types.ActRemoveEntry:
-			s.revokeLeases(cSub.Parent, cSub.Name, op.ID)
-		}
+		s.leases.Revoke(cSub)
 		recs = append(recs,
 			wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Before: resC.Before, After: resC.After},
 			wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: resP.before, After: resP.after},

@@ -3,12 +3,13 @@ package core
 import (
 	"time"
 
+	"cxfs/internal/node"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
 
-// The leased read path (ROADMAP item 5). A client resolves (dir, name) with
+// The leased read path. A client resolves (dir, name) with
 // MsgLookupReq; the dentry's coordinator answers from its shard and stamps a
 // read lease: an epoch tying the grant to this server incarnation and a TTL
 // bounding how long the client may serve the entry from cache. The server
@@ -21,7 +22,9 @@ import (
 // the model oracle's staleness bound (internal/model.CheckStalenessBound)
 // permits exactly that window. Recovery wipes the table; a rebooted
 // server's grants carry a higher lease epoch (Boot()+1), so clients fence
-// out entries granted by the previous incarnation.
+// out entries granted by the previous incarnation. The SE baseline serves
+// its lookups through the same LeaseTable, and both protocols' drivers
+// through the same Cache (cache.go).
 
 // leaseTableCap bounds the lease table. Eviction is silent (no revocation):
 // a client holding an evicted lease just loses revocation coverage and
@@ -40,22 +43,82 @@ type leaseEntry struct {
 	expire  time.Duration // sim time the newest grant lapses
 }
 
-// LeaseTable tracks which clients hold read leases on this server's
-// directory entries. It is exported so the SE baseline server reuses it for
-// the cache-on comparison rows.
+// LeaseTable is the server side of the leased read path, shared by the Cx
+// server and the SE baseline: it answers lookups with leases stamped for
+// this incarnation, tracks which clients hold them, and sends the
+// revocations when a mutation touches a leased entry.
 type LeaseTable struct {
+	base    *node.Base
+	ttl     time.Duration
 	cap     int
 	entries map[leaseKey]*leaseEntry
 	order   []leaseKey // FIFO for capacity eviction
+
+	grants, revokes uint64
 }
 
-// NewLeaseTable builds a lease table bounded at capacity entries.
-func NewLeaseTable(capacity int) *LeaseTable {
-	return &LeaseTable{cap: capacity, entries: make(map[leaseKey]*leaseEntry)}
+// NewLeaseTable builds the lease table of the server on base. ttl is the
+// validity window stamped on grants; 0 disables leasing: lookups are still
+// answered, but without a lease, so clients cannot cache.
+func NewLeaseTable(base *node.Base, ttl time.Duration) *LeaseTable {
+	return &LeaseTable{base: base, ttl: ttl, cap: leaseTableCap, entries: make(map[leaseKey]*leaseEntry)}
 }
 
-// Grant records that client holds a lease on (dir, name) until now+ttl.
-func (t *LeaseTable) Grant(dir types.InodeID, name string, client types.NodeID, now time.Duration, ttl time.Duration) {
+// epoch is the lease epoch stamped on this incarnation's grants and
+// revocations. Boot()+1 keeps epoch 0 meaning "no lease" on the wire.
+func (t *LeaseTable) epoch() uint64 { return t.base.Boot() + 1 }
+
+// Serve answers a MsgLookupReq from the local shard with the inode plus a
+// lease. Negative results are leased too (the client may cache the
+// absence). It reports false when the server crashed while charging the
+// lookup, in which case nothing is sent. Callers that must order lookups
+// behind uncommitted mutations do so before calling Serve.
+func (t *LeaseTable) Serve(p *simrt.Proc, m wire.Msg) bool {
+	b := t.base
+	boot := b.Boot()
+	b.ExecCPU(p)
+	if b.Gone(boot) {
+		return false
+	}
+	in, found := b.Shard.ResolveEntry(m.Dir, m.Path)
+	reply := wire.Msg{Type: wire.MsgLookupResp, To: m.From, Op: m.Op,
+		OK: found, Dir: m.Dir, Path: m.Path, Attr: in}
+	if !found {
+		reply.Err = types.ErrNotFound.Error()
+	}
+	if t.ttl > 0 {
+		reply.LeaseEpoch = t.epoch()
+		reply.LeaseTTL = t.ttl
+		t.grant(m.Dir, m.Path, m.From, b.Sim.Now())
+		t.grants++
+	}
+	b.Send(reply)
+	return true
+}
+
+// Revoke notifies every lease holder of the directory entry sub inserts or
+// removes that the entry is changing, and forgets the leases; sub-ops that
+// touch no entry revoke nothing. The notice is piggybacked on the
+// MsgConflictNotify vocabulary; the client host recognizes a revocation by
+// its non-empty Path. Servers call it the moment a mutation's execution
+// lands — before commitment — because the old value may be unservable the
+// instant the mutation becomes visible to anyone.
+func (t *LeaseTable) Revoke(sub types.SubOp) {
+	if sub.Action != types.ActInsertEntry && sub.Action != types.ActRemoveEntry {
+		return
+	}
+	for _, h := range t.revoke(sub.Parent, sub.Name) {
+		t.revokes++
+		t.base.Send(wire.Msg{Type: wire.MsgConflictNotify, To: h, Op: sub.Op,
+			Dir: sub.Parent, Path: sub.Name, LeaseEpoch: t.epoch()})
+	}
+}
+
+// Stats returns cumulative grant and revocation-notice counts.
+func (t *LeaseTable) Stats() (granted, revoked uint64) { return t.grants, t.revokes }
+
+// grant records that client holds a lease on (dir, name) until now+ttl.
+func (t *LeaseTable) grant(dir types.InodeID, name string, client types.NodeID, now time.Duration) {
 	k := leaseKey{dir: dir, name: name}
 	e := t.entries[k]
 	if e == nil {
@@ -78,15 +141,15 @@ func (t *LeaseTable) Grant(dir types.InodeID, name string, client types.NodeID, 
 	if !held {
 		e.holders = append(e.holders, client)
 	}
-	if exp := now + ttl; exp > e.expire {
+	if exp := now + t.ttl; exp > e.expire {
 		e.expire = exp
 	}
 }
 
-// Revoke forgets every lease on (dir, name) and returns the holders that
+// revoke forgets every lease on (dir, name) and returns the holders that
 // need a revocation notice. Expired grants are returned too — notifying a
 // client whose lease already lapsed is harmless.
-func (t *LeaseTable) Revoke(dir types.InodeID, name string) []types.NodeID {
+func (t *LeaseTable) revoke(dir types.InodeID, name string) []types.NodeID {
 	k := leaseKey{dir: dir, name: name}
 	e := t.entries[k]
 	if e == nil {
@@ -102,7 +165,8 @@ func (t *LeaseTable) Revoke(dir types.InodeID, name string) []types.NodeID {
 	return e.holders
 }
 
-// Outstanding returns how many entries currently carry unexpired leases.
+// Outstanding returns how many entries carry leases unexpired at now (the
+// chaos nemesis targets the server holding the most).
 func (t *LeaseTable) Outstanding(now time.Duration) int {
 	n := 0
 	for _, e := range t.entries {
@@ -120,10 +184,6 @@ func (t *LeaseTable) Reset() {
 	t.order = nil
 }
 
-// leaseEpoch is the epoch stamped on this incarnation's grants and
-// revocations. Boot()+1 keeps epoch 0 meaning "no lease" on the wire.
-func (s *Server) leaseEpoch() uint64 { return s.Boot() + 1 }
-
 // lookupSub is the read sub-op a LookupReq conflicts on: the same dentry
 // key the mutation path holds active, so a lookup racing an uncommitted
 // create/remove blocks behind it (and forces its commitment) instead of
@@ -135,11 +195,10 @@ func lookupSub(m wire.Msg) types.SubOp {
 	}
 }
 
-// handleLookup serves the leased read path: resolve (Dir, Path) against the
-// local shard and answer with the inode plus a lease. Negative results are
-// leased too (the client may cache the absence). A lookup touching an
-// active object parks behind the holder exactly like a sub-op would —
-// redispatch re-enters here once the holder commits.
+// handleLookup serves the leased read path. A lookup touching an active
+// object parks behind the holder exactly like a sub-op would — redispatch
+// re-enters here once the holder commits — so no lease covers a
+// provisional value.
 func (s *Server) handleLookup(p *simrt.Proc, m wire.Msg) {
 	sub := lookupSub(m)
 	if key, ok := conflictKey(sub); ok {
@@ -150,44 +209,7 @@ func (s *Server) handleLookup(p *simrt.Proc, m wire.Msg) {
 			return
 		}
 	}
-	boot := s.Boot()
-	s.ExecCPU(p)
-	if s.Gone(boot) {
-		return
+	if s.leases.Serve(p, m) {
+		s.stats.Lookups++
 	}
-	s.stats.Lookups++
-	in, found := s.Shard.ResolveEntry(m.Dir, m.Path)
-	reply := wire.Msg{Type: wire.MsgLookupResp, To: m.From, Op: m.Op,
-		OK: found, Dir: m.Dir, Path: m.Path, Attr: in}
-	if !found {
-		reply.Err = types.ErrNotFound.Error()
-	}
-	if s.cfg.LeaseTTL > 0 {
-		reply.LeaseEpoch = s.leaseEpoch()
-		reply.LeaseTTL = s.cfg.LeaseTTL
-		s.leases.Grant(m.Dir, m.Path, m.From, s.Sim.Now(), s.cfg.LeaseTTL)
-		s.stats.LeasesGranted++
-	}
-	s.Send(reply)
-}
-
-// revokeLeases notifies every lease holder of (dir, name) that the entry is
-// changing. Piggybacked on the MsgConflictNotify vocabulary; the client host
-// recognizes the revocation by its non-empty Path. Called the moment a
-// mutation's provisional execution lands (hold) — before commitment —
-// because the old value may be unservable the instant the mutation becomes
-// visible to anyone.
-func (s *Server) revokeLeases(dir types.InodeID, name string, op types.OpID) {
-	holders := s.leases.Revoke(dir, name)
-	for _, h := range holders {
-		s.stats.LeaseRevocations++
-		s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: h, Op: op,
-			Dir: dir, Path: name, LeaseEpoch: s.leaseEpoch()})
-	}
-}
-
-// LeasesOutstanding reports unexpired leased entries (the chaos nemesis
-// targets the server holding the most).
-func (s *Server) LeasesOutstanding() int {
-	return s.leases.Outstanding(s.Sim.Now())
 }

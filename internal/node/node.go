@@ -1,7 +1,9 @@
 // Package node provides the chassis shared by every protocol's metadata
 // server — the simulated hardware (disk, log, database, namespace shard),
-// the inbox loop, crash/reboot plumbing — and the client-side host that
-// routes server responses back to the issuing process.
+// the inbox loop, crash/reboot plumbing — and the client-side host: the
+// single request path (send, retry, reply decoding, per-op observation)
+// that every protocol's driver uses, routing server responses back to the
+// issuing process.
 //
 // A protocol (internal/core for Cx, internal/baseline for SE/2PC/CE) embeds
 // Base and registers a message handler. The inbox loop spawns a Proc per
@@ -13,12 +15,16 @@ package node
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"cxfs/internal/disk"
 	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
+	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/transport"
 	"cxfs/internal/types"
@@ -243,7 +249,8 @@ func (b *Base) Gone(boot uint64) bool { return b.crashed || b.boot != boot }
 
 // ServeReaddir answers a readdir request against this server's namespace
 // partition: directories are striped by entry hash, so each server returns
-// its slice and the client unions them. Readdir is weakly consistent by
+// its slice and the client unions them (Host.Readdir). Each row is one
+// entry: its name as the key, its inode number as 8 little-endian bytes. Readdir is weakly consistent by
 // design (it reflects the volatile image, including this server's
 // uncommitted executions), matching OrangeFS semantics; the paper's
 // conflict machinery covers only per-object accesses.
@@ -260,23 +267,47 @@ func (b *Base) ServeReaddir(m wire.Msg) {
 
 // Host is a client machine: it owns the inbox for its node ID and routes
 // each inbound message to the process waiting on that operation. One Host
-// carries many application processes (the paper runs 8 per client).
+// carries many application processes (the paper runs 8 per client). It is
+// also the one client request path every protocol's driver shares: sending
+// a request and retrying it (Call, Await), decoding the reply's error
+// (ReplyError), and observing each operation (BeginOp, EndOp).
 type Host struct {
 	ID  types.NodeID
 	Sim *simrt.Sim
 	Net *transport.Net
 
+	retry types.RetryPolicy
+	obsv  *obs.Observer
+	proto string
+
 	inbox  *simrt.Chan[wire.Msg]
 	routes map[types.OpID]*simrt.Chan[wire.Msg]
 	notify func(wire.Msg) bool
+
+	stats HostStats
 }
 
-// NewHost builds a client host and starts its dispatcher.
-func NewHost(s *simrt.Sim, net *transport.Net, id types.NodeID) *Host {
-	h := &Host{ID: id, Sim: s, Net: net, inbox: net.Register(id), routes: make(map[types.OpID]*simrt.Chan[wire.Msg])}
+// HostStats counts client request-path events.
+type HostStats struct {
+	Retries  uint64 // request retransmissions after a reply timeout
+	Timeouts uint64 // exchanges abandoned with the attempt budget spent
+}
+
+// NewHost builds a client host and starts its dispatcher. rp is the
+// per-request timeout/retry policy. The zero policy blocks forever on a
+// lost reply, which is only acceptable on a fault-free network; under
+// faults, a policy bounds every wait and the servers' duplicate suppression
+// keeps retransmissions at-most-once. Operation latencies are recorded into
+// o (nil records nothing) under protocol label proto.
+func NewHost(s *simrt.Sim, net *transport.Net, id types.NodeID, rp types.RetryPolicy, o *obs.Observer, proto string) *Host {
+	h := &Host{ID: id, Sim: s, Net: net, retry: rp, obsv: o, proto: proto,
+		inbox: net.Register(id), routes: make(map[types.OpID]*simrt.Chan[wire.Msg])}
 	s.Spawn(fmt.Sprintf("host%d/dispatch", id), h.dispatch)
 	return h
 }
+
+// Stats returns a snapshot of the request-path counters.
+func (h *Host) Stats() HostStats { return h.stats }
 
 func (h *Host) dispatch(p *simrt.Proc) {
 	for {
@@ -320,4 +351,127 @@ func (h *Host) Done(op types.OpID) {
 func (h *Host) Send(m wire.Msg) {
 	m.From = h.ID
 	h.Net.Send(m)
+}
+
+// Call sends req and waits on route for the reply from the server req
+// addresses, retransmitting per the host's retry policy. A reply from any
+// other sender — a late duplicate from another leg of the same operation —
+// is discarded. false means the attempt budget ran out: the operation's
+// outcome is unknown.
+func (h *Host) Call(p *simrt.Proc, route *simrt.Chan[wire.Msg], req wire.Msg) (wire.Msg, bool) {
+	h.Send(req)
+	silent := 0
+	for {
+		m, resend, ok := h.Await(p, route, &silent)
+		switch {
+		case !ok:
+			return wire.Msg{}, false
+		case resend:
+			h.Send(req)
+		case m.From == req.To:
+			return m, true
+		}
+	}
+}
+
+// Await waits on route for the next message of an exchange, for callers
+// that expect several replies (Cx's concurrent sub-ops) as well as for
+// Call. *silent counts the consecutive retry windows that lapsed without a
+// message; the caller resets it on progress. When a window lapses, Await
+// returns resend=true if the caller should retransmit what is outstanding
+// (counted as a retry), or ok=false once the attempt budget is spent
+// (counted as a timeout). With the zero policy it blocks until a message
+// arrives.
+func (h *Host) Await(p *simrt.Proc, route *simrt.Chan[wire.Msg], silent *int) (m wire.Msg, resend, ok bool) {
+	if !h.retry.Enabled() {
+		return route.Recv(p), false, true
+	}
+	if m, got := route.RecvTimeout(p, h.retry.WaitFor(*silent)); got {
+		return m, false, true
+	}
+	*silent++
+	if *silent >= h.retry.MaxAttempts() {
+		h.stats.Timeouts++
+		return wire.Msg{}, false, false
+	}
+	h.stats.Retries++
+	return wire.Msg{}, true, true
+}
+
+// ReplyError converts a reply's error string back into a typed error: nil
+// for a successful reply, otherwise an error wrapping the shared sentinel
+// the string ends with, so callers can test it with errors.Is.
+func ReplyError(m wire.Msg) error {
+	if m.OK {
+		return nil
+	}
+	if m.Err == "" {
+		return types.ErrAborted
+	}
+	for _, known := range []error{
+		types.ErrExists, types.ErrNotFound, types.ErrNotEmpty,
+		types.ErrNotDir, types.ErrIsDir, types.ErrAborted, types.ErrInvalidated,
+	} {
+		if strings.HasSuffix(m.Err, known.Error()) {
+			return fmt.Errorf("%s: %w", m.Err, known)
+		}
+	}
+	return errors.New(m.Err)
+}
+
+// BeginOp marks op issued: it emits the issue trace event and returns the
+// start time to hand to EndOp. A begin/end pair, rather than a wrapping
+// closure, keeps observation allocation-free.
+func (h *Host) BeginOp(op types.Op) time.Duration {
+	if h.obsv == nil {
+		return 0
+	}
+	start := h.Sim.Now()
+	if h.obsv.TraceOn() {
+		h.obsv.Emit(start, int(h.ID), op.ID, obs.PhaseIssue, op.Kind.String())
+	}
+	return start
+}
+
+// EndOp records op's client-observed latency since start: aborted when err
+// is set, conflicted when the protocol reports the op went through conflict
+// machinery (only Cx does), complete otherwise.
+func (h *Host) EndOp(op types.Op, start time.Duration, err error, conflicted bool) {
+	if h.obsv == nil {
+		return
+	}
+	out := obs.OutcomeComplete
+	switch {
+	case err != nil:
+		out = obs.OutcomeAborted
+	case conflicted:
+		out = obs.OutcomeConflicted
+	}
+	h.obsv.RecordOp(op.Kind, h.proto, out, op.ID, int(h.ID), start, h.Sim.Now()-start)
+}
+
+// Readdir fans a listing of dir out to every one of the servers and unions
+// their partitions (see Base.ServeReaddir for the row format); shared by
+// every protocol.
+func (h *Host) Readdir(p *simrt.Proc, servers int, id types.OpID, dir types.InodeID) ([]namespace.DirEntry, error) {
+	route := h.Open(id)
+	defer h.Done(id)
+	op := types.Op{ID: id, Kind: types.OpReaddir, Parent: dir}
+	for srv := 0; srv < servers; srv++ {
+		h.Send(wire.Msg{Type: wire.MsgOpReq, To: types.NodeID(srv), Op: id, FullOp: op, ReplyProc: id.Proc})
+	}
+	var out []namespace.DirEntry
+	for got := 0; got < servers; got++ {
+		m := route.Recv(p)
+		if !m.OK {
+			return nil, ReplyError(m)
+		}
+		for _, r := range m.Rows {
+			if len(r.Val) == 8 {
+				out = append(out, namespace.DirEntry{Name: r.Key, Ino: types.InodeID(binary.LittleEndian.Uint64(r.Val))})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
 }

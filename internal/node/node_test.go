@@ -15,7 +15,7 @@ func build(t *testing.T) (*simrt.Sim, *transport.Net, *Base, *Host) {
 	s := simrt.New(1)
 	net := transport.New(s, transport.DefaultParams())
 	b := NewBase(s, net, 0, DefaultHardware())
-	h := NewHost(s, net, 100)
+	h := NewHost(s, net, 100, types.RetryPolicy{}, nil, "")
 	return s, net, b, h
 }
 
