@@ -14,6 +14,7 @@
 package cxfs_test
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -103,8 +104,8 @@ func BenchmarkFig6Metarates(b *testing.B) {
 		rows, _ := harness.Fig6(benchCfg(), []int{4, 8, 16, 32}, 30)
 		byMix := map[string][]harness.Fig6Row{}
 		for _, r := range rows {
-			b.ReportMetric(r.OFSCx, "cx-ops/s/"+r.Mix[:4]+"-"+itoa(r.Servers))
-			b.ReportMetric(r.CxGain*100, "cx-gain%/"+r.Mix[:4]+"-"+itoa(r.Servers))
+			b.ReportMetric(r.OFSCx, "cx-ops/s/"+r.Mix[:4]+"-"+strconv.Itoa(r.Servers))
+			b.ReportMetric(r.CxGain*100, "cx-gain%/"+r.Mix[:4]+"-"+strconv.Itoa(r.Servers))
 			byMix[r.Mix] = append(byMix[r.Mix], r)
 		}
 		for mix, rs := range byMix {
@@ -124,7 +125,7 @@ func BenchmarkFig7aLogSize(b *testing.B) {
 		for _, r := range rows {
 			label := "unlimited"
 			if r.LimitBytes > 0 {
-				label = itoa(int(r.LimitBytes>>10)) + "KB"
+				label = strconv.Itoa(int(r.LimitBytes>>10)) + "KB"
 			}
 			b.ReportMetric(r.ReplayTime.Seconds()*1000, "replay-ms/"+label)
 		}
@@ -154,7 +155,7 @@ func BenchmarkFig8ConflictRatio(b *testing.B) {
 		rows, ofs, _ := harness.Fig8(benchCfg(), nil)
 		crossover := -1.0
 		for _, r := range rows {
-			b.ReportMetric(r.CxReplay.Seconds()*1000, "cx-ms/inject-"+ftoa(r.InjectRate))
+			b.ReportMetric(r.CxReplay.Seconds()*1000, "cx-ms/inject-"+strconv.Itoa(int(r.InjectRate*100+0.5)))
 			if r.CxReplay >= ofs && crossover < 0 {
 				crossover = r.ConflictRatio
 			}
@@ -201,17 +202,10 @@ func BenchmarkFig9bThreshold(b *testing.B) {
 // the extension experiment (the paper describes 2PC and CE but does not
 // run them).
 func BenchmarkProtocolsAblation(b *testing.B) {
-	p, _ := trace.ProfileByName("s3d")
 	for i := 0; i < b.N; i++ {
-		for _, proto := range cluster.Protocols {
-			tr := trace.Generate(p, 0.002, 1)
-			o := cluster.DefaultOptions(8, proto)
-			o.ClientHosts = 16
-			o.ProcsPerHost = 8
-			c := cluster.MustNew(o)
-			res := (&trace.Replayer{Trace: tr, C: c}).Run()
-			c.Shutdown()
-			b.ReportMetric(res.ReplayTime.Seconds()*1000, "replay-ms/"+string(proto))
+		rows, _ := harness.Protocols(benchCfg())
+		for _, r := range rows {
+			b.ReportMetric(r.ReplayTime.Seconds()*1000, "replay-ms/"+string(r.Protocol))
 		}
 	}
 }
@@ -226,24 +220,6 @@ func BenchmarkMetaratesSingleRun(b *testing.B) {
 		c.Shutdown()
 		b.ReportMetric(res.Throughput, "vops/s")
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-func ftoa(f float64) string {
-	return itoa(int(f*100 + 0.5))
 }
 
 // BenchmarkCxAblations quantifies the design choices DESIGN.md calls out,

@@ -3,23 +3,19 @@
 //
 // Usage:
 //
-//	cxbench -exp all                # every experiment at the default scale
+//	cxbench -exp all                # every paper table and figure, plus extensions
 //	cxbench -exp fig5 -scale 0.01   # one experiment, bigger replay
 //	cxbench -exp table5 -servers 8
 //	cxbench -exp fig5 -hist -trace /tmp/fig5.trace
 //	cxbench -exp chaos -seed 7 -duration 2s -faultrate 1.5
 //
-// Experiments: table2, table4, table5, fig4, fig5, fig6, fig7a, fig7b,
-// fig8, fig9a, fig9b, protocols (extension: 2PC and CE in the comparison),
-// metarates (extension: eager vs lazy commitment vs WAL group commit vs
-// pipelined dispatch on the update-dominated mix; -pipeline/-linger/-adaptive
-// size it and -json FILE dumps the rows for CI artifacts),
-// chaos (fault-injection run: crashes, crash-points, partitions, lossy
-// links; prints the nemesis schedule and a deterministic fingerprint —
-// the same seed and flags always reproduce the identical report; -pipeline
-// and -linger carry into the chaos workload and WALs too).
+// The experiment IDs are the harness registry's; "cxbench -h" lists them.
+// "all" runs every one but chaos and replay, which run only when named.
 // Each prints a table whose rows mirror the paper's; EXPERIMENTS.md records
-// the paper-vs-measured comparison.
+// the paper-vs-measured comparison. Each remaining flag's help text names
+// the experiments that read it; -json FILE dumps the metarates or replay
+// rows for CI artifacts. Chaos prints its nemesis schedule and a
+// fingerprint that the same seed and flags always reproduce.
 //
 // With -hist, every operation's virtual-time latency is recorded and a
 // per-kind/protocol/outcome quantile table (p50/p95/p99) is printed after
@@ -38,20 +34,13 @@ import (
 	"strings"
 	"time"
 
-	"cxfs/internal/chaos"
-	"cxfs/internal/cluster"
 	"cxfs/internal/harness"
 	"cxfs/internal/obs"
-	"cxfs/internal/simrt"
-	"cxfs/internal/stats"
-	"cxfs/internal/trace"
-	"cxfs/internal/types"
-	"cxfs/internal/wire"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table2|table4|table5|fig4|fig5|fig6|fig7a|fig7b|fig8|fig9a|fig9b|protocols|metarates|statstorm|latency|triggers|chaos|replay|all)")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(harness.IDs(), "|")+"|all)")
 		scale    = flag.Float64("scale", 0.004, "fraction of each paper trace's op count to replay")
 		servers  = flag.Int("servers", 8, "metadata servers for trace-driven experiments")
 		seed     = flag.Int64("seed", 1, "simulation seed")
@@ -74,32 +63,35 @@ func main() {
 		obsv = obs.New(obs.Options{Hist: *hist, Trace: *traceOut != ""})
 	}
 
-	cfg := harness.Config{Scale: *scale, Servers: *servers, Seed: *seed, Obs: obsv}
-	ccfg := chaos.Config{Seed: *seed, Duration: *duration, FaultRate: *fltRate,
-		Pipeline: *pipeline, GroupLinger: *linger}
-	bo := benchOpts{pipeline: *pipeline, linger: *linger, adaptive: *adaptive, jsonOut: *jsonOut,
-		workload: *workload, minRatio: *minratio}
+	cfg := harness.Config{Scale: *scale, Servers: *servers, Seed: *seed, Obs: obsv,
+		Pipeline: *pipeline, Linger: *linger, Adaptive: *adaptive, Workload: *workload,
+		MinRatio: *minratio, ChaosDuration: *duration, FaultRate: *fltRate}
 	if *seeds != "" {
 		for _, s := range strings.Split(*seeds, ",") {
 			v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "cxbench: bad -seeds entry %q: %v\n", s, err)
-				os.Exit(1)
+				fail(fmt.Errorf("bad -seeds entry %q: %v", s, err))
 			}
-			bo.seeds = append(bo.seeds, v)
+			cfg.Seeds = append(cfg.Seeds, v)
 		}
 	}
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
-		ids = []string{"table2", "table4", "table5", "fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9a", "fig9b", "protocols", "metarates", "statstorm", "latency", "triggers"}
+	exps, err := harness.Select(*exp)
+	if err != nil {
+		fail(err)
 	}
-	for _, id := range ids {
+	for _, e := range exps {
 		start := time.Now()
-		if err := run(id, cfg, ccfg, bo); err != nil {
-			fmt.Fprintf(os.Stderr, "cxbench: %v\n", err)
-			os.Exit(1)
+		out, err := e.Run(cfg)
+		fmt.Print(out.Text)
+		if err == nil && out.Rows != nil && *jsonOut != "" {
+			if err = writeRowsJSON(*jsonOut, out.Rows); err == nil {
+				fmt.Printf("%s: %s -> %s\n", e.ID, out.RowsLabel, *jsonOut)
+			}
 		}
-		fmt.Printf("[%s completed in %v wall time]\n\n", id, time.Since(start).Round(time.Millisecond))
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("[%s completed in %v wall time]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *hist {
@@ -107,137 +99,14 @@ func main() {
 	}
 	if *traceOut != "" {
 		if err := writeTrace(obsv, *traceOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "cxbench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 }
 
-// benchOpts carries the group-commit/pipelining knobs into experiments
-// that understand them.
-type benchOpts struct {
-	pipeline int
-	linger   time.Duration
-	adaptive bool
-	jsonOut  string
-	workload string
-	seeds    []int64
-	minRatio float64
-}
-
-func run(id string, cfg harness.Config, ccfg chaos.Config, bo benchOpts) error {
-	switch id {
-	case "replay":
-		seeds := bo.seeds
-		if len(seeds) == 0 {
-			seeds = harness.DefaultBenchSeeds
-		}
-		res := harness.ReplayBench(cfg, bo.workload, seeds)
-		fmt.Println(res.Table())
-		fmt.Printf("replay: mean %.0f ops/s, %.1f allocs/op over %d seeds\n",
-			res.MeanOpsPerSec, res.MeanAllocsPerOp, len(res.Seeds))
-		if bo.jsonOut != "" {
-			if err := writeRowsJSON(bo.jsonOut, res); err != nil {
-				return err
-			}
-			fmt.Printf("replay: bench artifact -> %s\n", bo.jsonOut)
-		}
-	case "metarates":
-		rows, tbl := harness.MetaratesGroupCommit(cfg, harness.MetaratesGCOpts{
-			Pipeline: bo.pipeline, Linger: bo.linger, Adaptive: bo.adaptive})
-		fmt.Println(tbl)
-		if bo.jsonOut != "" {
-			if err := writeRowsJSON(bo.jsonOut, rows); err != nil {
-				return err
-			}
-			fmt.Printf("metarates: %d rows -> %s\n", len(rows), bo.jsonOut)
-		}
-	case "chaos":
-		rep := chaos.Run(ccfg)
-		fmt.Print(rep.String())
-		fmt.Printf("fingerprint=%s\n", rep.Fingerprint())
-		if !rep.Consistent() {
-			return fmt.Errorf("chaos run with seed %d is inconsistent (schedule above)", ccfg.Seed)
-		}
-	case "table2":
-		_, tbl := harness.Table2(cfg)
-		fmt.Println(tbl)
-	case "table4":
-		_, tbl := harness.Table4(cfg)
-		fmt.Println(tbl)
-	case "table5":
-		_, tbl := harness.Table5(cfg)
-		fmt.Println(tbl)
-	case "fig4":
-		fmt.Println(harness.Fig4(cfg))
-	case "fig5":
-		_, tbl := harness.Fig5(cfg, nil)
-		fmt.Println(tbl)
-	case "fig6":
-		_, tbl := harness.Fig6(cfg, nil, 0)
-		fmt.Println(tbl)
-	case "fig7a":
-		_, tbl := harness.Fig7a(cfg, nil)
-		fmt.Println(tbl)
-	case "fig7b":
-		series, tbl := harness.Fig7b(cfg, 0)
-		fmt.Println(tbl)
-		fmt.Printf("peak=%.0f bytes, pruning drops=%d\n\n", series.Peak(), series.Drops(0.3))
-	case "fig8":
-		_, base, tbl := harness.Fig8(cfg, nil)
-		fmt.Println(tbl)
-		fmt.Printf("OFS baseline replay: %v\n\n", base.Round(time.Millisecond))
-	case "fig9a":
-		_, tbl := harness.Fig9a(cfg, nil)
-		fmt.Println(tbl)
-	case "fig9b":
-		_, tbl := harness.Fig9b(cfg, nil)
-		fmt.Println(tbl)
-	case "protocols":
-		fmt.Println(protocolsExtension(cfg))
-	case "latency":
-		_, tbl := harness.Latency(cfg, "s3d")
-		fmt.Println(tbl)
-	case "triggers":
-		_, tbl := harness.Triggers(cfg)
-		fmt.Println(tbl)
-	case "statstorm":
-		_, tbl, worst := harness.StatStorm(cfg)
-		fmt.Println(tbl)
-		fmt.Printf("statstorm: worst cache message reduction %.1fx\n", worst)
-		if bo.minRatio > 0 && worst < bo.minRatio {
-			return fmt.Errorf("statstorm: cache reduction %.1fx below the -minratio gate %.1fx", worst, bo.minRatio)
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
-	}
-	return nil
-}
-
-// protocolsExtension compares all five protocols on one trace — beyond the
-// paper, which describes 2PC and CE (§II.B, Fig 1) but only evaluates the
-// OFS variants.
-func protocolsExtension(cfg harness.Config) *stats.Table {
-	tbl := stats.NewTable("Extension: all five protocols on s3d (replay time)",
-		"Protocol", "Replay", "Messages", "vs OFS")
-	p, _ := trace.ProfileByName("s3d")
-	var base time.Duration
-	for _, proto := range cluster.Protocols {
-		tr := trace.Generate(p, cfg.Scale, cfg.Seed)
-		o := cluster.DefaultOptions(cfg.Servers, proto)
-		o.ClientHosts = 16
-		o.ProcsPerHost = 8
-		o.Seed = cfg.Seed
-		o.Obs = cfg.Obs
-		c := cluster.MustNew(o)
-		res := (&trace.Replayer{Trace: tr, C: c}).Run()
-		c.Shutdown()
-		if proto == cluster.ProtoSE {
-			base = res.ReplayTime
-		}
-		tbl.Add(string(proto), res.ReplayTime, res.Messages, stats.Pct(stats.Improvement(base, res.ReplayTime)))
-	}
-	return tbl
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "cxbench: %v\n", err)
+	os.Exit(1)
 }
 
 // writeRowsJSON dumps an experiment's rows or artifact for CI.
@@ -256,10 +125,15 @@ func writeRowsJSON(path string, rows any) error {
 }
 
 // writeTrace runs the disorder probe (so the trace is guaranteed to contain
-// the rare paths), writes the Chrome trace, and prints a summary.
+// the rare paths), writes the Chrome trace, and prints a summary. The probe
+// runs after the experiments so its events are never evicted from the
+// bounded ring.
 func writeTrace(obsv *obs.Observer, path string, seed int64) error {
-	if err := disorderProbe(obsv, seed); err != nil {
-		return fmt.Errorf("disorder probe: %v", err)
+	switch r := harness.Disorder(seed, obsv); {
+	case !r.Converged:
+		return fmt.Errorf("disorder probe did not converge")
+	case len(r.Violations) != 0:
+		return fmt.Errorf("disorder probe left bad invariants: %v", r.Violations)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -280,141 +154,4 @@ func writeTrace(obsv *obs.Observer, path string, seed int64) error {
 		obsv.PhaseCount(obs.PhaseInvalidate), obsv.PhaseCount(obs.PhaseLCom),
 		obsv.PhaseCount(obs.PhasePrune))
 	return nil
-}
-
-// disorderProbe forces one Figure 3b disordered conflict on a dedicated
-// 4-server Cx cluster: an unlink and a link of the same (dentry, inode)
-// arrive in opposite orders at the coordinator and participant, so the
-// participant must invalidate its premature execution and re-execute after
-// the enforced predecessor commits. It runs after the experiments so its
-// events are never evicted from the bounded ring.
-func disorderProbe(obsv *obs.Observer, seed int64) error {
-	o := cluster.DefaultOptions(4, cluster.ProtoCx)
-	o.ClientHosts = 4
-	o.ProcsPerHost = 2
-	o.Seed = seed
-	o.Cx.Timeout = time.Hour // never let a retry mask the disorder
-	o.Obs = obsv
-	c, err := cluster.New(o)
-	if err != nil {
-		return err
-	}
-	defer c.Shutdown()
-
-	c.Sim.Spawn("probe", func(p *simrt.Proc) {
-		prSetup := c.Proc(1)
-		prA, prB := c.Proc(0), c.Proc(c.NumProcs()-1)
-		hostA, hostB := c.Hosts[0], c.Hosts[len(c.Hosts)-1]
-
-		// Seed a file reachable by two names (nlink 2) so the unlink and
-		// the re-link both succeed in isolation.
-		name, ino, coord, part := findSharedPlacement(c, prSetup)
-		c.Bases[coord].Shard.SeedDentry(types.RootInode, name, ino)
-		second := name + ".alt"
-		c.Bases[c.Placement.CoordinatorFor(types.RootInode, second)].Shard.SeedDentry(types.RootInode, second, ino)
-		c.Bases[part].Shard.SeedInode(types.Inode{Ino: ino, Type: types.FileRegular, Nlink: 2})
-
-		idA, idB := prA.NextID(), prB.NextID()
-		opA := types.Op{ID: idA, Kind: types.OpUnlink, Parent: types.RootInode, Name: name, Ino: ino}
-		opB := types.Op{ID: idB, Kind: types.OpLink, Parent: types.RootInode, Name: name, Ino: ino}
-		cA, pA := types.Split(opA)
-		cB, pB := types.Split(opB)
-
-		routeA := hostA.Open(idA)
-		routeB := hostB.Open(idB)
-		defer hostA.Done(idA)
-		defer hostB.Done(idB)
-
-		// Force the disorder: coordinator sees A then B; participant sees
-		// B then A. Equal network latency preserves send order.
-		hostA.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: idA, Sub: cA, Peer: part, ReplyProc: idA.Proc})
-		hostB.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: idB, Sub: pB, Peer: coord, ReplyProc: idB.Proc})
-		p.Sleep(time.Millisecond)
-		hostB.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: idB, Sub: cB, Peer: part, ReplyProc: idB.Proc})
-		hostA.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: idA, Sub: pA, Peer: coord, ReplyProc: idA.Proc})
-
-		// Drain both clients until their responses settle, then quiesce so
-		// the lazy commitment and WAL pruning run too.
-		g := simrt.NewGroup(c.Sim)
-		g.Add(2)
-		drain := func(route *simrt.Chan[wire.Msg]) func(*simrt.Proc) {
-			return func(dp *simrt.Proc) {
-				defer g.Done()
-				(&probeCollector{route: route, coord: coord}).run(dp, 30*time.Second)
-			}
-		}
-		c.Sim.Spawn("probe/clientA", drain(routeA))
-		c.Sim.Spawn("probe/clientB", drain(routeB))
-		g.Wait(p)
-		c.Quiesce(p)
-		c.Sim.Stop()
-	})
-	c.Sim.RunUntil(time.Hour)
-	if !c.Sim.Stopped() {
-		return fmt.Errorf("probe did not converge")
-	}
-	if bad := c.CheckInvariants(); len(bad) != 0 {
-		return fmt.Errorf("probe left bad invariants: %v", bad)
-	}
-	return nil
-}
-
-// findSharedPlacement hunts for a (name, ino) whose unlink and link share
-// BOTH servers: the dentry partition (coordinator) and the inode home
-// (participant), with coordinator != participant.
-func findSharedPlacement(c *cluster.Cluster, pr *cluster.Process) (name string, ino types.InodeID, coord, part types.NodeID) {
-	for try := 0; ; try++ {
-		name = fmt.Sprintf("disordered-%d", try)
-		ino = pr.AllocInode()
-		coord = c.Placement.CoordinatorFor(types.RootInode, name)
-		part = c.Placement.ParticipantFor(ino)
-		if coord != part {
-			return
-		}
-	}
-}
-
-// probeCollector drains one raw client's response route until the op
-// settles (both sub-op replies present and not voided) or the deadline.
-type probeCollector struct {
-	route    *simrt.Chan[wire.Msg]
-	coord    types.NodeID
-	haveC    bool
-	haveP    bool
-	okC, okP bool
-	voidP    bool
-	epochP   uint32
-}
-
-func (cl *probeCollector) run(p *simrt.Proc, deadline time.Duration) {
-	for {
-		m, got := cl.route.RecvTimeout(p, deadline)
-		if !got {
-			return
-		}
-		if m.Type == wire.MsgAllNo {
-			return
-		}
-		if m.Type != wire.MsgSubOpResp {
-			continue
-		}
-		invalid := m.Err == types.ErrInvalidated.Error()
-		if m.From == cl.coord {
-			cl.haveC, cl.okC = true, m.OK
-		} else {
-			if m.Epoch < cl.epochP {
-				continue
-			}
-			cl.epochP = m.Epoch
-			if invalid {
-				cl.voidP = true
-				continue
-			}
-			cl.haveP, cl.okP = true, m.OK
-			cl.voidP = false
-		}
-		if cl.haveC && cl.haveP && !cl.voidP {
-			return
-		}
-	}
 }

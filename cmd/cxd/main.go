@@ -11,7 +11,7 @@
 // Protocol: one JSON object per line in, one per line out.
 //
 //	{"cmd":"ping"}
-//	{"cmd":"experiments"}
+//	{"cmd":"experiments"}   // the harness registry's IDs, space-separated
 //	{"cmd":"run","exp":"table2","scale":0.002,"servers":4}
 //	{"cmd":"replay","trace":"s3d","protocol":"cx","scale":0.002}
 //	{"cmd":"metarates","mix":"update-dominated","servers":4,"ops":40}
@@ -165,9 +165,16 @@ func (s *server) dispatch(req Request) (string, error) {
 	case "ping":
 		return "pong", nil
 	case "experiments":
-		return "table2 table4 table5 fig4 fig5 fig6 fig7a fig7b fig8 fig9a fig9b", nil
+		return strings.Join(harness.IDs(), " "), nil
 	case "run":
-		return s.runExperiment(req)
+		e, err := harness.Lookup(req.Exp)
+		if err != nil {
+			return "", err
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		out, err := e.Run(harness.Config{Scale: req.Scale, Servers: req.Servers, Seed: req.Seed, Obs: s.beginObs()})
+		return strings.TrimSuffix(out.Text, "\n"), err
 	case "replay":
 		return s.runReplay(req)
 	case "metarates":
@@ -194,47 +201,6 @@ func (s *server) report() (string, error) {
 		return "", fmt.Errorf("no run to report on yet")
 	}
 	return s.obs.HistTable().String() + "\n" + s.obs.PhaseTable().String(), nil
-}
-
-func (s *server) runExperiment(req Request) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cfg := harness.Config{Scale: req.Scale, Servers: req.Servers, Seed: req.Seed, Obs: s.beginObs()}
-	switch req.Exp {
-	case "table2":
-		_, tbl := harness.Table2(cfg)
-		return tbl.String(), nil
-	case "table4":
-		_, tbl := harness.Table4(cfg)
-		return tbl.String(), nil
-	case "table5":
-		_, tbl := harness.Table5(cfg)
-		return tbl.String(), nil
-	case "fig4":
-		return harness.Fig4(cfg).String(), nil
-	case "fig5":
-		_, tbl := harness.Fig5(cfg, nil)
-		return tbl.String(), nil
-	case "fig6":
-		_, tbl := harness.Fig6(cfg, []int{2, 4, 8}, 30)
-		return tbl.String(), nil
-	case "fig7a":
-		_, tbl := harness.Fig7a(cfg, nil)
-		return tbl.String(), nil
-	case "fig7b":
-		_, tbl := harness.Fig7b(cfg, 0)
-		return tbl.String(), nil
-	case "fig8":
-		_, _, tbl := harness.Fig8(cfg, nil)
-		return tbl.String(), nil
-	case "fig9a":
-		_, tbl := harness.Fig9a(cfg, nil)
-		return tbl.String(), nil
-	case "fig9b":
-		_, tbl := harness.Fig9b(cfg, nil)
-		return tbl.String(), nil
-	}
-	return "", fmt.Errorf("unknown experiment %q", req.Exp)
 }
 
 func (s *server) runReplay(req Request) (string, error) {

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"cxfs/internal/harness"
 )
 
 func TestDispatchCommands(t *testing.T) {
@@ -31,6 +34,27 @@ func TestDispatchCommands(t *testing.T) {
 // TestValidateRejectsBadInput covers the request validation the daemon used
 // to lack: unknown protocols and out-of-range numeric knobs must come back
 // as errors, never reach cluster construction, and never panic.
+// TestExperimentsCoverRegistry checks that cxd serves every registered
+// experiment: "experiments" lists them all, and "run" reaches an extension.
+func TestExperimentsCoverRegistry(t *testing.T) {
+	s := &server{}
+	out, err := s.dispatch(Request{Cmd: "experiments"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := strings.Fields(out)
+	if !reflect.DeepEqual(listed, harness.IDs()) {
+		t.Errorf("experiments = %v, want %v", listed, harness.IDs())
+	}
+	out, err = s.dispatch(Request{Cmd: "run", Exp: "protocols", Scale: 0.0005, Servers: 2})
+	if err != nil {
+		t.Fatalf("run protocols: %v", err)
+	}
+	if !strings.Contains(out, "all five protocols") || strings.HasSuffix(out, "\n\n") {
+		t.Errorf("run protocols output:\n%q", out)
+	}
+}
+
 func TestValidateRejectsBadInput(t *testing.T) {
 	s := &server{}
 	bad := []Request{

@@ -68,12 +68,9 @@ func ReplayBench(cfg Config, workload string, seeds []int64) BenchResult {
 	var sumOps, sumAllocs float64
 	for _, seed := range seeds {
 		tr := trace.Generate(p, cfg.Scale, seed)
-		o := cluster.DefaultOptions(cfg.Servers, cluster.ProtoCx)
-		o.ClientHosts = 16
-		o.ProcsPerHost = 8
-		o.Seed = seed
-		o.Obs = cfg.Obs
-		c := cluster.MustNew(o)
+		sc := cfg
+		sc.Seed = seed
+		c := sc.clusterFor(cluster.ProtoCx, nil)
 
 		var m0, m1 runtime.MemStats
 		runtime.GC()

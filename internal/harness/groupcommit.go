@@ -26,26 +26,8 @@ type MetaratesGCRow struct {
 	Errors     int           `json:"errors"`
 }
 
-// MetaratesGCOpts sizes the comparison. Zero fields take defaults.
-type MetaratesGCOpts struct {
-	OpsPerProc int           // per-process operations (default 40)
-	Pipeline   int           // depth for the pipelined rows (default 8)
-	Linger     time.Duration // group-commit linger (default 1ms)
-	Adaptive   bool          // add an adaptive-lazy-period row
-}
-
-func (o MetaratesGCOpts) withDefaults() MetaratesGCOpts {
-	if o.OpsPerProc <= 0 {
-		o.OpsPerProc = 40
-	}
-	if o.Pipeline <= 0 {
-		o.Pipeline = 8
-	}
-	if o.Linger <= 0 {
-		o.Linger = time.Millisecond
-	}
-	return o
-}
+// metaratesOpsPerProc is each client process's operation count.
+const metaratesOpsPerProc = 40
 
 // MetaratesGroupCommit runs the Metarates update-dominated mix on Cx across
 // the commitment/dispatch configurations this repo adds over the paper:
@@ -55,8 +37,14 @@ func (o MetaratesGCOpts) withDefaults() MetaratesGCOpts {
 // processes per server, so every row faces identical load; ops/s,
 // WAL-issued disk requests, and the coalesce ratio expose where each
 // mechanism earns its keep.
-func MetaratesGroupCommit(cfg Config, o MetaratesGCOpts) ([]MetaratesGCRow, *stats.Table) {
-	o = o.withDefaults()
+func MetaratesGroupCommit(cfg Config) ([]MetaratesGCRow, *stats.Table) {
+	depth, linger := cfg.Pipeline, cfg.Linger
+	if depth <= 0 {
+		depth = 8
+	}
+	if linger <= 0 {
+		linger = time.Millisecond
+	}
 
 	type variant struct {
 		name     string
@@ -68,12 +56,12 @@ func MetaratesGroupCommit(cfg Config, o MetaratesGCOpts) ([]MetaratesGCRow, *sta
 	variants := []variant{
 		{name: "eager", eager: true},
 		{name: "lazy"},
-		{name: "lazy+group-commit", linger: o.Linger},
-		{name: "lazy+group-commit+pipeline", linger: o.Linger, pipeline: o.Pipeline},
+		{name: "lazy+group-commit", linger: linger},
+		{name: "lazy+group-commit+pipeline", linger: linger, pipeline: depth},
 	}
-	if o.Adaptive {
+	if cfg.Adaptive {
 		variants = append(variants, variant{name: "lazy+gc+pipe+adaptive",
-			linger: o.Linger, pipeline: o.Pipeline, adaptive: true})
+			linger: linger, pipeline: depth, adaptive: true})
 	}
 
 	var rows []MetaratesGCRow
@@ -93,7 +81,7 @@ func MetaratesGroupCommit(cfg Config, o MetaratesGCOpts) ([]MetaratesGCRow, *sta
 		co.Cx.AdaptiveLazy = v.adaptive
 		c := cluster.MustNew(co)
 		res := metarates.Run(c, metarates.Config{
-			Mix: metarates.UpdateDominated, OpsPerProc: o.OpsPerProc, Pipeline: v.pipeline})
+			Mix: metarates.UpdateDominated, OpsPerProc: metaratesOpsPerProc, Pipeline: v.pipeline})
 		var appends, records uint64
 		for _, b := range c.Bases {
 			ws := b.WAL.Stats()

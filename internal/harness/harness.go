@@ -33,6 +33,17 @@ type Config struct {
 	// Obs attaches an observability session to every cluster the
 	// experiment builds; nil disables recording.
 	Obs *obs.Observer
+
+	// Knobs read by single experiments. Zero values keep each
+	// experiment's defaults.
+	Pipeline      int           // metarates (default 8), chaos: client dispatch depth
+	Linger        time.Duration // metarates (default 1ms), chaos: WAL group-commit linger
+	Adaptive      bool          // metarates: add the adaptive-lazy-period row
+	Workload      string        // replay: trace profile (default s3d)
+	Seeds         []int64       // replay: seed matrix (default DefaultBenchSeeds)
+	MinRatio      float64       // statstorm: fail below this cache message reduction
+	ChaosDuration time.Duration // chaos: nemesis active window (default 1.5s)
+	FaultRate     float64       // chaos: lossy-link probability scale (default 1.0)
 }
 
 // DefaultConfig is the quick-run configuration.

@@ -7,6 +7,7 @@ package obs
 
 import (
 	"math/bits"
+	"strconv"
 
 	"cxfs/internal/stats"
 )
@@ -86,28 +87,12 @@ func (o *Observer) FlushTable() *stats.Table {
 		hi := 1<<(i+1) - 1
 		label := ""
 		if lo == hi {
-			label = itoa(lo)
+			label = strconv.Itoa(lo)
 		} else {
-			label = itoa(lo) + "-" + itoa(hi)
+			label = strconv.Itoa(lo) + "-" + strconv.Itoa(hi)
 		}
 		tbl.Add(label, n)
 	}
 	tbl.Add("coalesce ratio", o.flush.CoalesceRatio())
 	return tbl
-}
-
-// itoa is a dependency-free positive-int formatter (this file keeps obs
-// free of fmt on the hot path).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -17,6 +17,7 @@ package obs
 
 import (
 	"math/bits"
+	"sort"
 	"time"
 
 	"cxfs/internal/stats"
@@ -358,7 +359,7 @@ func (o *Observer) CounterNames() []string {
 	for n := range o.counters {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
 }
 
@@ -379,7 +380,7 @@ func (o *Observer) SeriesNames() []string {
 	for n := range o.series {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
 }
 
@@ -433,7 +434,16 @@ func (o *Observer) Keys() []Key {
 	for k := range o.hists {
 		keys = append(keys, k)
 	}
-	sortKeys(keys)
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.Protocol != b.Protocol {
+			return a.Protocol < b.Protocol
+		}
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		return a.Outcome < b.Outcome
+	})
 	return keys
 }
 
@@ -462,31 +472,4 @@ func (o *Observer) PhaseTable() *stats.Table {
 		}
 	}
 	return tbl
-}
-
-// small local sorts (avoiding a sort import elsewhere) ---------------------
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func sortKeys(ks []Key) {
-	less := func(a, b Key) bool {
-		if a.Protocol != b.Protocol {
-			return a.Protocol < b.Protocol
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Outcome < b.Outcome
-	}
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && less(ks[j], ks[j-1]); j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
 }
