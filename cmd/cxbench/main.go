@@ -10,12 +10,12 @@
 //	cxbench -exp chaos -seed 7 -duration 2s -faultrate 1.5
 //
 // The experiment IDs are the harness registry's; "cxbench -h" lists them.
-// "all" runs every one but chaos and replay, which run only when named.
-// Each prints a table whose rows mirror the paper's; EXPERIMENTS.md records
-// the paper-vs-measured comparison. Each remaining flag's help text names
-// the experiments that read it; -json FILE dumps the metarates or replay
-// rows for CI artifacts. Chaos prints its nemesis schedule and a
-// fingerprint that the same seed and flags always reproduce.
+// "all" runs every one but chaos, which runs only when named. Each prints a
+// table whose rows mirror the paper's; EXPERIMENTS.md records the
+// paper-vs-measured comparison. Each remaining flag's help text names the
+// experiments that read it; -json FILE dumps the metarates rows for CI
+// artifacts. Chaos prints its nemesis schedule and a fingerprint that the
+// same seed and flags always reproduce.
 //
 // With -hist, every operation's virtual-time latency is recorded and a
 // per-kind/protocol/outcome quantile table (p50/p95/p99) is printed after
@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -51,9 +50,7 @@ func main() {
 		pipeline = flag.Int("pipeline", 0, "client dispatch depth for metarates/chaos (0 or 1 = classic closed loop)")
 		linger   = flag.Duration("linger", 0, "WAL group-commit linger window (0 = flush each append directly)")
 		adaptive = flag.Bool("adaptive", false, "metarates: add the adaptive-lazy-period row")
-		jsonOut  = flag.String("json", "", "metarates/replay: also write the rows as JSON to this file")
-		workload = flag.String("workload", "s3d", "replay: trace profile to bench")
-		seeds    = flag.String("seeds", "", "replay: comma-separated seed matrix (default the fixed trajectory matrix)")
+		jsonOut  = flag.String("json", "", "metarates: also write the rows as JSON to this file")
 		minratio = flag.Float64("minratio", 0, "statstorm: fail unless the cache's message reduction is at least this factor (0 = no gate)")
 	)
 	flag.Parse()
@@ -64,17 +61,8 @@ func main() {
 	}
 
 	cfg := harness.Config{Scale: *scale, Servers: *servers, Seed: *seed, Obs: obsv,
-		Pipeline: *pipeline, Linger: *linger, Adaptive: *adaptive, Workload: *workload,
+		Pipeline: *pipeline, Linger: *linger, Adaptive: *adaptive,
 		MinRatio: *minratio, ChaosDuration: *duration, FaultRate: *fltRate}
-	if *seeds != "" {
-		for _, s := range strings.Split(*seeds, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				fail(fmt.Errorf("bad -seeds entry %q: %v", s, err))
-			}
-			cfg.Seeds = append(cfg.Seeds, v)
-		}
-	}
 	exps, err := harness.Select(*exp)
 	if err != nil {
 		fail(err)
@@ -109,7 +97,7 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// writeRowsJSON dumps an experiment's rows or artifact for CI.
+// writeRowsJSON dumps an experiment's rows for CI.
 func writeRowsJSON(path string, rows any) error {
 	f, err := os.Create(path)
 	if err != nil {

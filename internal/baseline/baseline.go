@@ -27,6 +27,7 @@ package baseline
 import (
 	"sort"
 
+	"cxfs/internal/node"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
@@ -49,14 +50,28 @@ func newDupGuard() *dupGuard {
 	return &dupGuard{inflight: make(map[types.OpID]bool), replies: make(map[types.OpID]wire.Msg)}
 }
 
-// cached returns the recorded reply of a completed operation.
-func (g *dupGuard) cached(op types.OpID) (wire.Msg, bool) {
-	m, ok := g.replies[op]
-	return m, ok
+// admit is the prologue of a client OpReq on every baseline server. It
+// serves a readdir on the spot and passes a mutating op through claim. It
+// reports whether the caller should execute the op; a caller that does
+// owes a deferred abandon.
+func (g *dupGuard) admit(b *node.Base, m wire.Msg) bool {
+	op := m.FullOp
+	if op.Kind == types.OpReaddir {
+		b.ServeReaddir(m)
+		return false
+	}
+	return !op.Kind.Mutating() || g.claim(b, op.ID, m.From)
 }
 
-// begin marks op executing; false means a duplicate (already inflight).
-func (g *dupGuard) begin(op types.OpID) bool {
+// claim marks op executing and reports true, unless op is a duplicate: a
+// completed op is answered to from with its recorded reply, and a
+// duplicate of one still executing is dropped.
+func (g *dupGuard) claim(b *node.Base, op types.OpID, from types.NodeID) bool {
+	if reply, ok := g.replies[op]; ok {
+		reply.To = from
+		b.Send(reply)
+		return false
+	}
 	if g.inflight[op] {
 		return false
 	}
@@ -79,8 +94,33 @@ func (g *dupGuard) finish(op types.OpID, reply wire.Msg) {
 }
 
 // abandon clears the inflight mark without caching (crash mid-execution);
-// a retry after recovery re-executes. Safe to call after finish.
+// a retry after recovery re-executes. Safe to call after finish, and for
+// an op that was never claimed.
 func (g *dupGuard) abandon(op types.OpID) { delete(g.inflight, op) }
+
+// execSingleSync runs a single-server op and writes its rows to the
+// database before replying, the path 2PC and CE share. crashPoint names
+// the crash point between the write and the reply.
+func execSingleSync(p *simrt.Proc, b *node.Base, g *dupGuard, m wire.Msg, crashPoint string) {
+	op := m.FullOp
+	sub := types.SingleSubOp(op)
+	b.ExecCPU(p)
+	res := b.Shard.Exec(sub, b.NowNanos())
+	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: res.OK, Attr: res.Inode}
+	if res.Err != nil {
+		reply.Err = res.Err.Error()
+	}
+	if res.OK && sub.Action.Mutating() {
+		b.KV.SyncKeys(p, res.Rows)
+	}
+	if b.CrashPoint(crashPoint, op.ID) {
+		return
+	}
+	if op.Kind.Mutating() {
+		g.finish(op.ID, reply)
+	}
+	b.Send(reply)
+}
 
 // lockTable serializes conflicting operations inside the 2PC and CE
 // servers (their correctness depends on exclusive access for the duration

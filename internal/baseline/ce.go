@@ -66,43 +66,15 @@ func (s *CEServer) handle(p *simrt.Proc, m wire.Msg) {
 // coordinate migrates, executes locally, migrates back, responds.
 func (s *CEServer) coordinate(p *simrt.Proc, m wire.Msg) {
 	op := m.FullOp
-	if op.Kind == types.OpReaddir {
-		s.ServeReaddir(m)
+	if !s.guard.admit(s.Base, m) {
 		return
 	}
-	if op.Kind.Mutating() {
-		if cached, ok := s.guard.cached(op.ID); ok {
-			cached.To = m.From
-			s.Send(cached)
-			return
-		}
-		if !s.guard.begin(op.ID) {
-			return // duplicate of an operation still executing
-		}
-		defer s.guard.abandon(op.ID)
+	defer s.guard.abandon(op.ID)
+	if !op.Kind.CrossServer() {
+		execSingleSync(p, s.Base, s.guard, m, "ce:after-exec")
+		return
 	}
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
-
-	if !op.Kind.CrossServer() {
-		sub := types.SingleSubOp(op)
-		s.ExecCPU(p)
-		res := s.Shard.Exec(sub, s.NowNanos())
-		reply.OK, reply.Attr = res.OK, res.Inode
-		if res.Err != nil {
-			reply.Err = res.Err.Error()
-		}
-		if res.OK && sub.Action.Mutating() {
-			s.KV.SyncKeys(p, res.Rows)
-		}
-		if s.CrashPoint("ce:after-exec", op.ID) {
-			return
-		}
-		if op.Kind.Mutating() {
-			s.guard.finish(op.ID, reply)
-		}
-		s.Send(reply)
-		return
-	}
 
 	cSub, pSub := types.Split(op)
 	part := s.pl.ParticipantFor(op.Ino)
@@ -165,15 +137,8 @@ func (s *CEServer) coordinate(p *simrt.Proc, m wire.Msg) {
 
 	// Migrate the (possibly updated) rows back.
 	if !local {
-		back := make([]wire.Row, 0, len(partRows))
+		back := s.copyRows(partRows)
 		for _, key := range partRows {
-			if v, okRow := s.KV.Get(key); okRow {
-				cp := make([]byte, len(v))
-				copy(cp, v)
-				back = append(back, wire.Row{Key: key, Val: cp})
-			} else {
-				back = append(back, wire.Row{Key: key, Val: nil})
-			}
 			s.KV.Forget(key) // the row goes home; drop the local copy
 		}
 		ch := simrt.NewChan[wire.Msg](s.Sim)
@@ -209,17 +174,7 @@ func (s *CEServer) lendRows(p *simrt.Proc, m wire.Msg) {
 	if _, lent := s.migrated[m.Op]; lent {
 		// Retransmitted MigrateReq: the rows are already lent out; resend the
 		// current copies without re-acquiring the locks the loan holds.
-		rows := make([]wire.Row, 0, len(m.Keys))
-		for _, key := range m.Keys {
-			if v, ok := s.KV.Get(key); ok {
-				cp := make([]byte, len(v))
-				copy(cp, v)
-				rows = append(rows, wire.Row{Key: key, Val: cp})
-			} else {
-				rows = append(rows, wire.Row{Key: key, Val: nil})
-			}
-		}
-		s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: rows})
+		s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
 		return
 	}
 	// Row-key strings are what travel; the lock table works on ObjKeys, so
@@ -227,17 +182,22 @@ func (s *CEServer) lendRows(p *simrt.Proc, m wire.Msg) {
 	objKeys := rowLockKeys(m.Keys)
 	s.locks.acquire(p, objKeys)
 	s.migrated[m.Op] = objKeys
-	rows := make([]wire.Row, 0, len(m.Keys))
-	for _, key := range m.Keys {
+	s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
+}
+
+// copyRows snapshots the current value of each row key for shipping to
+// another server; a missing row travels with a nil value.
+func (s *CEServer) copyRows(keys []string) []wire.Row {
+	rows := make([]wire.Row, 0, len(keys))
+	for _, key := range keys {
+		var val []byte
 		if v, ok := s.KV.Get(key); ok {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			rows = append(rows, wire.Row{Key: key, Val: cp})
-		} else {
-			rows = append(rows, wire.Row{Key: key, Val: nil})
+			val = make([]byte, len(v))
+			copy(val, v)
 		}
+		rows = append(rows, wire.Row{Key: key, Val: val})
 	}
-	s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: rows})
+	return rows
 }
 
 // reinstallRows takes the updated rows back, persists them synchronously,

@@ -142,13 +142,8 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m wire.Msg) {
 	sub := m.Sub
 	mutating := sub.Action.Mutating()
 	if mutating {
-		if cached, ok := s.guard.cached(sub.Op); ok {
-			cached.To = m.From
-			s.Send(cached)
+		if !s.guard.claim(s.Base, sub.Op, m.From) {
 			return
-		}
-		if !s.guard.begin(sub.Op) {
-			return // duplicate of an execution still in flight
 		}
 		defer s.guard.abandon(sub.Op)
 	}
@@ -207,21 +202,10 @@ func (s *SEServer) handleClear(p *simrt.Proc, m wire.Msg) {
 // update locally.
 func (s *SEServer) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 	op := m.FullOp
-	if op.Kind == types.OpReaddir {
-		s.ServeReaddir(m)
+	if !s.guard.admit(s.Base, m) {
 		return
 	}
-	if op.Kind.Mutating() {
-		if cached, ok := s.guard.cached(op.ID); ok {
-			cached.To = m.From
-			s.Send(cached)
-			return
-		}
-		if !s.guard.begin(op.ID) {
-			return
-		}
-		defer s.guard.abandon(op.ID)
-	}
+	defer s.guard.abandon(op.ID)
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
 	s.ExecCPU(p)
 	if op.Kind.CrossServer() {

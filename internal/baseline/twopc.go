@@ -82,43 +82,15 @@ func (s *TwoPCServer) handle(p *simrt.Proc, m wire.Msg) {
 // coordinate runs the whole transaction for one client operation.
 func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
 	op := m.FullOp
-	if op.Kind == types.OpReaddir {
-		s.ServeReaddir(m)
+	if !s.guard.admit(s.Base, m) {
 		return
 	}
-	if op.Kind.Mutating() {
-		if cached, ok := s.guard.cached(op.ID); ok {
-			cached.To = m.From
-			s.Send(cached)
-			return
-		}
-		if !s.guard.begin(op.ID) {
-			return // duplicate of a transaction still running (or queued on locks)
-		}
-		defer s.guard.abandon(op.ID)
+	defer s.guard.abandon(op.ID)
+	if !op.Kind.CrossServer() {
+		execSingleSync(p, s.Base, s.guard, m, "2pc:after-exec")
+		return
 	}
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
-
-	if !op.Kind.CrossServer() {
-		sub := types.SingleSubOp(op)
-		s.ExecCPU(p)
-		res := s.Shard.Exec(sub, s.NowNanos())
-		reply.OK, reply.Attr = res.OK, res.Inode
-		if res.Err != nil {
-			reply.Err = res.Err.Error()
-		}
-		if res.OK && sub.Action.Mutating() {
-			s.KV.SyncKeys(p, res.Rows)
-		}
-		if s.CrashPoint("2pc:after-exec", op.ID) {
-			return
-		}
-		if op.Kind.Mutating() {
-			s.guard.finish(op.ID, reply)
-		}
-		s.Send(reply)
-		return
-	}
 
 	cSub, pSub := types.Split(op)
 	part := s.pl.ParticipantFor(op.Ino)

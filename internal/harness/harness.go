@@ -39,8 +39,6 @@ type Config struct {
 	Pipeline      int           // metarates (default 8), chaos: client dispatch depth
 	Linger        time.Duration // metarates (default 1ms), chaos: WAL group-commit linger
 	Adaptive      bool          // metarates: add the adaptive-lazy-period row
-	Workload      string        // replay: trace profile (default s3d)
-	Seeds         []int64       // replay: seed matrix (default DefaultBenchSeeds)
 	MinRatio      float64       // statstorm: fail below this cache message reduction
 	ChaosDuration time.Duration // chaos: nemesis active window (default 1.5s)
 	FaultRate     float64       // chaos: lossy-link probability scale (default 1.0)
@@ -50,6 +48,10 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{Scale: 0.004, Servers: 8, Seed: 1}
 }
+
+// DefaultBenchSeeds is the seed matrix that perfbench's --sweep replays,
+// one simulated run per seed.
+var DefaultBenchSeeds = []int64{1, 2, 3, 5, 8}
 
 // clusterFor builds a trace-capable cluster for the given protocol.
 func (cfg Config) clusterFor(proto cluster.Protocol, mutate func(*cluster.Options)) *cluster.Cluster {

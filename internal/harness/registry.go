@@ -69,21 +69,6 @@ var registry = []Experiment{
 	{ID: "latency", Run: tableOf(func(c Config) ([]LatencyRow, *stats.Table) { return Latency(c, "s3d") })},
 	{ID: "triggers", Run: tableOf(Triggers)},
 	{ID: "chaos", ByNameOnly: true, Run: runChaos},
-	{ID: "replay", ByNameOnly: true, Run: func(cfg Config) (Output, error) {
-		workload, seeds := cfg.Workload, cfg.Seeds
-		if workload == "" {
-			workload = "s3d"
-		}
-		if len(seeds) == 0 {
-			seeds = DefaultBenchSeeds
-		}
-		res := ReplayBench(cfg, workload, seeds)
-		return Output{
-			Text: res.Table().String() + fmt.Sprintf("\nreplay: mean %.0f ops/s, %.1f allocs/op over %d seeds\n",
-				res.MeanOpsPerSec, res.MeanAllocsPerOp, len(res.Seeds)),
-			Rows: res, RowsLabel: "bench artifact",
-		}, nil
-	}},
 }
 
 // tableOf adapts an experiment whose report is its table alone.

@@ -32,7 +32,7 @@ func TestLookupUnknownNamesValidIDs(t *testing.T) {
 }
 
 // TestSelectAll pins the "all" set: the paper's tables and figures, then
-// the extensions, without chaos and replay.
+// the extensions, without chaos.
 func TestSelectAll(t *testing.T) {
 	exps, err := Select("all")
 	if err != nil {
@@ -98,8 +98,8 @@ func TestProtocolsMatchesGoldenTimeline(t *testing.T) {
 // TestRunOutputs checks the Output shape: a report, rows only where -json
 // has something to write, and the statstorm gate.
 func TestRunOutputs(t *testing.T) {
-	cfg := Config{Scale: 0.0005, Servers: 2, Seed: 1, Seeds: []int64{1}}
-	for id, want := range map[string]string{"fig7b": "peak=", "metarates": "Metarates", "replay": "replay: mean"} {
+	cfg := Config{Scale: 0.0005, Servers: 2, Seed: 1}
+	for id, want := range map[string]string{"fig7b": "peak=", "metarates": "Metarates"} {
 		e, _ := Lookup(id)
 		out, err := e.Run(cfg)
 		if err != nil {
