@@ -66,9 +66,8 @@ func main() {
 	fmt.Printf("\nprotocol activity: committed=%d aborted=%d lazy-batches=%d conflicts=%d\n",
 		st.OpsCommitted, st.OpsAborted, st.LazyBatches, st.Conflicts)
 	fmt.Printf("virtual workload time: %v, total messages: %d\n", fs.Elapsed(), fs.Messages())
-	if bad := fs.CheckConsistency(); len(bad) == 0 {
-		fmt.Println("cross-server consistency check: OK")
-	} else {
-		fmt.Println("INCONSISTENT:", bad)
+	if bad := fs.CheckConsistency(); len(bad) != 0 {
+		log.Fatalf("INCONSISTENT: %v", bad)
 	}
+	fmt.Println("cross-server consistency check: OK")
 }

@@ -100,9 +100,8 @@ func main() {
 	})
 	c.Sim.Run()
 
-	if bad := c.CheckInvariants(); len(bad) == 0 {
-		fmt.Println("\ncross-server atomicity invariant: OK after crash + recovery")
-	} else {
-		fmt.Println("\nINCONSISTENT:", bad)
+	if bad := c.CheckInvariants(); len(bad) != 0 {
+		log.Fatalf("INCONSISTENT: %v", bad)
 	}
+	fmt.Println("\ncross-server atomicity invariant: OK after crash + recovery")
 }

@@ -308,16 +308,6 @@ func (s *Server) ValidBytes() int64 { return s.WAL.LiveBytes() }
 // executed-but-uncommitted operations); zero after quiescence.
 func (s *Server) ActiveObjects() int { return len(s.active) }
 
-// BlockedReqs counts sub-ops currently parked behind active objects
-// (diagnostics).
-func (s *Server) BlockedReqs() int {
-	n := 0
-	for _, ws := range s.waiters {
-		n += len(ws)
-	}
-	return n
-}
-
 // DebugOp reports an op's state on this server (diagnostics).
 func (s *Server) DebugOp(op types.OpID) string {
 	if co := s.pendingCoord[op]; co != nil {
@@ -333,40 +323,6 @@ func (s *Server) DebugOp(op types.OpID) string {
 		return fmt.Sprintf("wantCommit lcom=%v from=%v at=%v", we.lcom, we.from, we.at)
 	}
 	return "absent"
-}
-
-// DebugPending lists every pending operation and its protocol state here
-// (diagnostics).
-func (s *Server) DebugPending() []string {
-	var out []string
-	for id, co := range s.pendingCoord {
-		out = append(out, fmt.Sprintf("coord op=%v committing=%v lcom=%v participant=%v", id, co.committing, co.lcom, co.participant))
-	}
-	for id, po := range s.pendingPart {
-		out = append(out, fmt.Sprintf("part op=%v committing=%v coordinator=%v since=%v", id, po.committing, po.coordinator, po.since))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DebugBlocked describes each parked request and its holder's state
-// (diagnostics).
-func (s *Server) DebugBlocked() []string {
-	var out []string
-	for holder, ws := range s.waiters {
-		for _, br := range ws {
-			state := "unknown"
-			if co := s.pendingCoord[holder]; co != nil {
-				state = fmt.Sprintf("coord committing=%v", co.committing)
-			} else if po := s.pendingPart[holder]; po != nil {
-				state = fmt.Sprintf("part committing=%v coord=%v", po.committing, po.coordinator)
-			} else if s.tombstones[holder] {
-				state = "tombstoned"
-			}
-			out = append(out, fmt.Sprintf("blocked op=%v kind=%v behind holder=%v (%s)", br.msg.Sub.Op, br.msg.Sub.Kind, holder, state))
-		}
-	}
-	return out
 }
 
 // nudgeStaleParts sends C-NOTIFY to the coordinator of every

@@ -44,11 +44,6 @@ type Config struct {
 	FaultRate     float64       // chaos: lossy-link probability scale (default 1.0)
 }
 
-// DefaultConfig is the quick-run configuration.
-func DefaultConfig() Config {
-	return Config{Scale: 0.004, Servers: 8, Seed: 1}
-}
-
 // DefaultBenchSeeds is the seed matrix that perfbench's --sweep replays,
 // one simulated run per seed.
 var DefaultBenchSeeds = []int64{1, 2, 3, 5, 8}

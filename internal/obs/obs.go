@@ -350,19 +350,6 @@ func (o *Observer) Counter(name string) uint64 {
 	return o.counters[name]
 }
 
-// CounterNames lists the recorded counters, sorted. Nil-safe.
-func (o *Observer) CounterNames() []string {
-	if o == nil {
-		return nil
-	}
-	names := make([]string, 0, len(o.counters))
-	for n := range o.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Series returns the named sample series (nil if absent). Nil-safe.
 func (o *Observer) Series(name string) *stats.Series {
 	if o == nil {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -110,22 +111,38 @@ func Load(path string) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: load: %w", err)
 	}
+	t, err := parseFile(raw)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
+	}
+	return t, nil
+}
+
+// minRecBytes is the smallest encoded record: a kind byte and two one-byte
+// varints. A record count that cannot fit in the bytes left is rejected
+// before anything is allocated for it.
+const minRecBytes = 3
+
+// parseFile decodes the bytes of a trace file. It trusts nothing it reads:
+// the checksum only detects accidents, so every count and kind is checked
+// against the bytes actually present.
+func parseFile(raw []byte) (*Trace, error) {
 	if len(raw) < len(fileMagic)+4 {
-		return nil, fmt.Errorf("trace: %s: truncated", path)
+		return nil, errors.New("truncated")
 	}
 	if string(raw[:len(fileMagic)]) != string(fileMagic) {
-		return nil, fmt.Errorf("trace: %s: bad magic", path)
+		return nil, errors.New("bad magic")
 	}
 	body := raw[len(fileMagic) : len(raw)-4]
 	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	h := fnv.New32a()
 	h.Write(body)
 	if h.Sum32() != want {
-		return nil, fmt.Errorf("trace: %s: checksum mismatch", path)
+		return nil, errors.New("checksum mismatch")
 	}
 
 	pos := 0
-	fail := func(what string) error { return fmt.Errorf("trace: %s: truncated %s", path, what) }
+	fail := func(what string) error { return fmt.Errorf("truncated %s", what) }
 	readU16 := func() (uint16, error) {
 		if pos+2 > len(body) {
 			return 0, fail("u16")
@@ -162,7 +179,7 @@ func Load(path string) (*Trace, error) {
 	pos += int(nameLen)
 	profile, err := ProfileByName(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("unknown workload %q", name)
 	}
 	if pos+8 > len(body) {
 		return nil, fail("scale")
@@ -182,8 +199,7 @@ func Load(path string) (*Trace, error) {
 		return nil, err
 	}
 	if int(procs) != profile.Procs {
-		return nil, fmt.Errorf("trace: %s: %d processes but profile %s has %d",
-			path, procs, name, profile.Procs)
+		return nil, fmt.Errorf("%d processes but profile %s has %d", procs, name, profile.Procs)
 	}
 	perProc := make([][]Rec, procs)
 	for pi := range perProc {
@@ -191,12 +207,18 @@ func Load(path string) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
+		if left := len(body) - pos; int64(n) > int64(left/minRecBytes) {
+			return nil, fmt.Errorf("process %d: %d records cannot fit in %d bytes", pi, n, left)
+		}
 		recs := make([]Rec, n)
 		for i := range recs {
 			if pos >= len(body) {
 				return nil, fail("record kind")
 			}
-			recs[i].Kind = Kind(body[pos])
+			kind := Kind(body[pos])
+			if kind < CreateOwn || kind > LookupShared {
+				return nil, fmt.Errorf("process %d record %d: unknown kind %d", pi, i, kind)
+			}
 			pos++
 			file, err := readVarint()
 			if err != nil {
@@ -206,12 +228,12 @@ func Load(path string) (*Trace, error) {
 			if err != nil {
 				return nil, err
 			}
-			recs[i] = Rec{Proc: pi, Kind: recs[i].Kind, File: int(file), Dir: int(dir)}
+			recs[i] = Rec{Proc: pi, Kind: kind, File: int(file), Dir: int(dir)}
 		}
 		perProc[pi] = recs
 	}
 	if pos != len(body) {
-		return nil, fmt.Errorf("trace: %s: %d trailing bytes", path, len(body)-pos)
+		return nil, fmt.Errorf("%d trailing bytes", len(body)-pos)
 	}
 	return &Trace{Profile: profile, Scale: scale, PerProc: perProc, Total: int(total), Dirs: int(dirs)}, nil
 }

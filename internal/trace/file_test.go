@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -174,5 +177,80 @@ func TestParseTextRejectsGarbage(t *testing.T) {
 		if _, err := ParseText(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d parsed", i)
 		}
+	}
+}
+
+// craftedFile saves a one-record CTH trace and returns its bytes with the
+// first process's record count at countAt. rewrite edits the body (the
+// bytes between magic and checksum), recomputes the checksum so the edit
+// reaches the parser, and writes the result to a file.
+func craftedFile(t *testing.T) (raw []byte, countAt int) {
+	t.Helper()
+	p, _ := ProfileByName("CTH")
+	tr := &Trace{Profile: p, PerProc: make([][]Rec, p.Procs), Total: 1, Dirs: 1}
+	tr.PerProc[0] = []Rec{{Proc: 0, Kind: CreateOwn, File: 0, Dir: 0}}
+	path := filepath.Join(t.TempDir(), "one.cxtr")
+	if err := tr.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, name length and name, scale, total, dirs, procs.
+	return raw, len(fileMagic) + 2 + len(p.Name) + 8 + 4 + 4 + 4
+}
+
+func rewrite(t *testing.T, raw []byte, edit func(body []byte)) string {
+	t.Helper()
+	out := append([]byte(nil), raw...)
+	body := out[len(fileMagic) : len(out)-4]
+	edit(body)
+	h := fnv.New32a()
+	h.Write(body)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], h.Sum32())
+	path := filepath.Join(t.TempDir(), "crafted.cxtr")
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadRejectsImpossibleRecordCount pins that a record count larger
+// than the file could hold is rejected before it is allocated: 1<<20
+// records are 32 MiB for a file of a few hundred bytes, and 0xFFFFFFFF
+// about 128 GiB.
+func TestLoadRejectsImpossibleRecordCount(t *testing.T) {
+	raw, countAt := craftedFile(t)
+	path := rewrite(t, raw, func(body []byte) {
+		binary.LittleEndian.PutUint32(body[countAt-len(fileMagic):], 1<<20)
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(path)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("record count of 1<<20 accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("rejecting the count allocated %d bytes; want under 1 MiB", got)
+	}
+}
+
+// TestLoadRejectsUnknownKinds pins that record kinds outside
+// CreateOwn..LookupShared are rejected rather than loaded and then
+// silently skipped by the replayer.
+func TestLoadRejectsUnknownKinds(t *testing.T) {
+	raw, countAt := craftedFile(t)
+	kindAt := countAt + 4 - len(fileMagic)
+	for _, k := range []Kind{0, LookupShared + 1} {
+		path := rewrite(t, raw, func(body []byte) { body[kindAt] = byte(k) })
+		if _, err := Load(path); err == nil {
+			t.Errorf("kind %d accepted", k)
+		}
+	}
+	path := rewrite(t, raw, func(body []byte) { body[kindAt] = byte(LookupShared) })
+	if _, err := Load(path); err != nil {
+		t.Errorf("kind %d rejected: %v", LookupShared, err)
 	}
 }

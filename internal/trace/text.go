@@ -50,7 +50,7 @@ func (t *Trace) WriteText(w io.Writer) error {
 // profile (its process count and directory layout parameterize replay).
 func ParseText(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	lineNo := 0
 
 	if !sc.Scan() {

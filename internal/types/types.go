@@ -77,7 +77,7 @@ const (
 	// OpReaddir lists a directory; because directories are striped, the
 	// client fans it out to every server and unions the partitions.
 	OpReaddir
-	opKindCount // sentinel for validation and array sizing
+	opKindCount // sentinel for array sizing
 )
 
 // NumOpKinds is the number of valid operation kinds (excluding OpInvalid).
@@ -105,9 +105,6 @@ func (k OpKind) String() string {
 	}
 	return fmt.Sprintf("opkind(%d)", uint8(k))
 }
-
-// Valid reports whether k names a real operation.
-func (k OpKind) Valid() bool { return k > OpInvalid && k < opKindCount }
 
 // CrossServer reports whether the operation kind updates metadata on two
 // servers (when the coordinator and participant placements differ).

@@ -23,8 +23,7 @@ func benchMsgs() []Msg {
 	return []Msg{sub, batch, resp}
 }
 
-// BenchmarkEncode measures the allocating encode path (fresh buffer per
-// frame) — what the transport paid before EncodeTo existed.
+// BenchmarkEncode measures the encode path (fresh buffer per frame).
 func BenchmarkEncode(b *testing.B) {
 	msgs := benchMsgs()
 	b.ReportAllocs()
@@ -32,37 +31,6 @@ func BenchmarkEncode(b *testing.B) {
 		if _, err := Encode(&msgs[i%len(msgs)]); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkEncodeTo measures the zero-alloc encode path: append into a
-// reused buffer, as MsgConn.WriteMsg does with the frame pool.
-func BenchmarkEncodeTo(b *testing.B) {
-	msgs := benchMsgs()
-	buf := make([]byte, 0, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := EncodeTo(buf[:0], &msgs[i%len(msgs)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf = out[:0]
-	}
-}
-
-// BenchmarkEncodeToPooled measures the pooled variant including pool
-// round-trips, the exact WriteMsg discipline.
-func BenchmarkEncodeToPooled(b *testing.B) {
-	msgs := benchMsgs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fb := GetBuffer()
-		out, err := EncodeTo(fb.B, &msgs[i%len(msgs)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		fb.B = out
-		PutBuffer(fb)
 	}
 }
 

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
 
 	"cxfs/internal/types"
@@ -18,12 +17,12 @@ import (
 // be non-zero for the message's type, and Size(m) == len(Encode(m)) for
 // every message that passes Validate. Decode(Encode(m)) == m for all valid
 // messages (tested with testing/quick). The simulated network charges
-// transfer time using Size; the TCP transport writes these exact bytes.
+// transfer time using Size; Encode is the reference Size is tested against.
 //
 // Strings carry a u16 length prefix and batches a u16 count, so a name of
 // 64KiB or a batch of 65536 entries cannot be represented. Validate (run
-// by Encode and EncodeTo) rejects such messages instead of silently
-// wrapping the prefix around.
+// by Encode) rejects such messages instead of silently wrapping the prefix
+// around.
 
 // Codec limits implied by the u16 length/count prefixes.
 const (
@@ -35,8 +34,8 @@ const (
 	MaxBatch = 1<<16 - 1
 )
 
-// Validate reports whether m fits the codec's length prefixes. Encode and
-// EncodeTo call it; protocol layers can call it early to reject oversized
+// Validate reports whether m fits the codec's length prefixes. Encode
+// calls it; protocol layers can call it early to reject oversized
 // requests at the edge instead of at serialization time.
 func Validate(m *Msg) error {
 	if len(m.Sub.Name) > MaxString {
@@ -324,39 +323,6 @@ func Encode(m *Msg) ([]byte, error) {
 	return appendMsg(make([]byte, 0, Size(m)), m), nil
 }
 
-// EncodeTo appends m's framed encoding to buf and returns the extended
-// slice, allocating only if buf lacks capacity. Combined with the Buffer
-// pool this makes the send path allocation-free in steady state.
-func EncodeTo(buf []byte, m *Msg) ([]byte, error) {
-	if err := Validate(m); err != nil {
-		return buf, err
-	}
-	return appendMsg(buf, m), nil
-}
-
-// Buffer is a pooled frame-encoding scratch buffer.
-type Buffer struct{ B []byte }
-
-// bufferPool recycles frame buffers across WriteMsg calls; 512 bytes covers
-// the common single-op messages without a regrow.
-var bufferPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 512)} }}
-
-// GetBuffer takes a scratch buffer from the pool (length 0).
-func GetBuffer() *Buffer {
-	b := bufferPool.Get().(*Buffer)
-	b.B = b.B[:0]
-	return b
-}
-
-// PutBuffer returns a buffer to the pool. Oversized buffers (a huge CE
-// migration frame) are dropped instead of pinning their backing arrays.
-func PutBuffer(b *Buffer) {
-	if cap(b.B) > 1<<20 {
-		return
-	}
-	bufferPool.Put(b)
-}
-
 // Decode parses one framed message.
 func Decode(buf []byte) (Msg, error) {
 	if len(buf) < 4 {
@@ -369,10 +335,8 @@ func Decode(buf []byte) (Msg, error) {
 }
 
 // DecodeBody parses a message payload without its 4-byte length frame.
-// Stream transports that have already consumed the frame header decode
-// the payload in place instead of re-assembling the full frame. The
-// returned Msg shares no memory with body: strings and byte fields are
-// copied out, so callers may reuse the buffer for the next frame.
+// The returned Msg shares no memory with body: strings and byte fields are
+// copied out, so callers may reuse the buffer.
 func DecodeBody(body []byte) (Msg, error) {
 	var m Msg
 	d := decoder{b: body}

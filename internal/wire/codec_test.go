@@ -143,34 +143,6 @@ func TestSizeMatchesEncodedLengthQuick(t *testing.T) {
 	}
 }
 
-// TestEncodeToMatchesEncodeQuick asserts the append-style path produces the
-// exact bytes of Encode for all valid messages, including when appending
-// after existing content.
-func TestEncodeToMatchesEncodeQuick(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200, Values: quickMsgValues}
-	scratch := make([]byte, 0, 4096)
-	f := func(m Msg) bool {
-		want, err := Encode(&m)
-		if err != nil {
-			return false
-		}
-		got, err := EncodeTo(scratch[:0], &m)
-		if err != nil || !reflect.DeepEqual(want, got) {
-			return false
-		}
-		// Appending after a prefix must leave the prefix intact.
-		withPrefix, err := EncodeTo(append(scratch[:0], 0xAA, 0xBB), &m)
-		if err != nil || len(withPrefix) != len(want)+2 {
-			return false
-		}
-		return withPrefix[0] == 0xAA && withPrefix[1] == 0xBB &&
-			reflect.DeepEqual(withPrefix[2:], want)
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func randStr(r *rand.Rand, max int) string {
 	n := r.Intn(max + 1)
 	b := make([]byte, n)
@@ -226,9 +198,6 @@ func TestEncodeLimitBoundaries(t *testing.T) {
 	over := Msg{Type: MsgSubOpReq, Sub: types.SubOp{Name: strings.Repeat("n", MaxString+1)}}
 	if _, err := Encode(&over); err == nil {
 		t.Error("64KiB name accepted")
-	}
-	if _, err := EncodeTo(nil, &over); err == nil {
-		t.Error("EncodeTo accepted 64KiB name")
 	}
 
 	atLimit := Msg{Type: MsgVote, Ops: make([]types.OpID, MaxBatch)}
@@ -316,21 +285,5 @@ func TestMsgTypeNamesMatchPaper(t *testing.T) {
 		if ty.String() != want {
 			t.Errorf("%d.String()=%q, want %q", ty, ty.String(), want)
 		}
-	}
-}
-
-// TestEncodeToZeroAlloc pins the zero-alloc claim: encoding into a
-// buffer with capacity must not allocate at all.
-func TestEncodeToZeroAlloc(t *testing.T) {
-	m := sampleMsg()
-	buf := make([]byte, 0, 1024)
-	allocs := testing.AllocsPerRun(100, func() {
-		out, err := EncodeTo(buf[:0], &m)
-		if err != nil || len(out) == 0 {
-			t.Fatal("encode failed")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("EncodeTo into capacity allocates %.0f times per run; want 0", allocs)
 	}
 }
